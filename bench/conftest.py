@@ -1,0 +1,7 @@
+"""Test set-up for the benchmark's own tests: python3 -m pytest bench"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
