@@ -52,7 +52,6 @@ from .seifert import SeifertData, handle_count, validate_class_s
 from .spanning import (
     DEFAULT_TREE_CAP,
     CapExceeded,
-    SpanningTree,
     capital_phi,
     is_spanning_tree,
     iter_spanning_trees,
@@ -75,7 +74,6 @@ __all__ = [
     "MinFResult",
     "SeifertData",
     "Slope",
-    "SpanningTree",
     "TheoremInapplicable",
     "VertexTerms",
     "Violation",

@@ -1,21 +1,25 @@
 """Complexity upper bounds for validated decomposition graphs.
 
-Three evaluators cover increasingly general graphs:
+The bound is one formula: a cycle term 5(|E| - |V| + 1), plus Phi(G), plus
+one term cf_sum(|beta|, |delta|) - 1 per non-H edge, plus a vertex term
+3(d + r + 2h - 2) + sum(cf_sum(p, q) - 2) per piece, plus the least sum of
+penalties f, one per vertex, each measuring how far b lies from a window
+[m, M] set by the degree bookkeeping.  One search minimizes that penalty
+sum over layouts, each an optimal spanning tree (or none) with its H-edges
+split into signed ones and six-valued ones; the three theorems are three
+labels over it:
 
-  bound_regular   no H-edges at all;
-  bound_tree      every H-edge fits into a single spanning tree (Phi = 0);
-  bound_general   arbitrary graphs, paying +1 for each H-edge left outside
-                  an optimal spanning tree.
+  bound_regular   no H-edges: one empty layout, nothing to choose;
+  bound_tree      every H-edge fits into a single spanning tree (Phi = 0):
+                  one layout with a sign + or - on every H-edge;
+  bound_general   arbitrary graphs: one layout per optimal spanning tree,
+                  signs on its H-edges and one of six values on each H-edge
+                  left outside it, paying Phi(G) for those.
 
-All three share the same skeleton: a cycle term 5(|E| - |V| + 1), one term
-cf_sum(|beta|, |delta|) - 1 per non-H edge, a vertex term
-3(d + r + 2h - 2) + sum(cf_sum(p, q) - 2) per piece, and a penalty f at
-each vertex measuring how far b lies from a window [m, M] determined by
-the degree bookkeeping.  The tree and general evaluators minimize the
-penalty sum over sign assignments on the H-edges (and, in the general
-case, over the optimal trees and a six-valued assignment on the non-tree
-H-edges); the minimization is exhaustive, capped, and deterministic, with
-ties resolved by enumeration order so reports are byte-reproducible.
+The search is exhaustive, capped and deterministic: ties go to the first
+labeling in enumeration order (layouts in tree order, then signs with +
+before -, then six values in PSI_PRIME_VALUES order, the last edge varying
+fastest), so reports are byte-reproducible.
 
 Windows always satisfy m < M, m <= 1, M >= -1 on class-S data; f checks
 this on every call instead of assuming it.
@@ -28,17 +32,19 @@ from dataclasses import dataclass
 
 from .farey import cf_sum, matrix_complexity
 from .gl2 import is_plus_minus_h
-from .graph import DecompositionGraph, Edge, degree_stats
+from .graph import DecompositionGraph, degree_stats
 from .seifert import handle_count
-from .spanning import CapExceeded, SpanningTree, capital_phi, optimal_trees, DEFAULT_TREE_CAP
+from .spanning import CapExceeded, capital_phi, optimal_trees, DEFAULT_TREE_CAP
 
 DEFAULT_ASSIGNMENT_CAP = 2**20
 
-PSI_VALUES = ("+", "-")
-PSI_PRIME_VALUES = ("++", "+", "+-", "-+", "-", "--")
-
-# weighted degree increments of a non-tree H-edge, per assignment value:
-# value -> ((source d+, source d-), (target d+, target d-))
+# weighted degree increments of an H-edge per label, a sign on a tree edge
+# or one of six values on an edge outside the tree:
+# label -> ((source d+, source d-), (target d+, target d-))
+_SIGN_WEIGHTS = {
+    "+": ((1, 0), (1, 0)),
+    "-": ((0, 1), (0, 1)),
+}
 _PSI_PRIME_WEIGHTS = {
     "++": ((2, 0), (1, 0)),
     "+": ((1, 0), (2, 0)),
@@ -47,6 +53,7 @@ _PSI_PRIME_WEIGHTS = {
     "-": ((0, 1), (0, 2)),
     "--": ((0, 2), (0, 1)),
 }
+PSI_PRIME_VALUES = tuple(_PSI_PRIME_WEIGHTS)
 
 
 class TheoremInapplicable(ValueError):
@@ -130,118 +137,105 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# shared pieces
+# the search and its three labels
 # ---------------------------------------------------------------------------
 
 
-def _split_edges(g: DecompositionGraph) -> tuple[list[Edge], list[Edge]]:
-    """(H-edges, non-H edges), both in id order."""
-    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
-    rest = [e for e in g.edges if not is_plus_minus_h(e.matrix)]
-    return h_edges, rest
+def _search(layouts, low, high, bs, index):
+    """First labeling of least penalty sum over all layouts.
+
+    A layout is (tree, signed H-edges, six-valued H-edges); low, high and bs
+    hold each vertex's window [m, M] before any label and its b, indexed as
+    in index.  Returns (per-vertex penalties, tree, psi, psi').
+    """
+    best = None
+    for tree, signed, outside in layouts:
+        edges = signed + outside
+        tables = [_SIGN_WEIGHTS] * len(signed) + [_PSI_PRIME_WEIGHTS] * len(outside)
+        choices = [[(label, index[e.src], index[e.dst], weights) for label, weights in table.items()]
+                   for e, table in zip(edges, tables)]
+        for labels in itertools.product(*choices):
+            m, M = low.copy(), high.copy()
+            for _, u, v, ((up, um), (vp, vm)) in labels:
+                M[u] += up
+                m[u] -= um
+                M[v] += vp
+                m[v] -= vm
+            pens = [f(lo, hi, b) for lo, hi, b in zip(m, M, bs)]
+            total = sum(pens)
+            if best is None or total < best[0]:
+                best = (total, pens, tree, edges, len(signed), labels)
+    _, pens, tree, edges, n_signed, labels = best
+    witness = tuple((e.id, label[0]) for e, label in zip(edges, labels))
+    return pens, tree, witness[:n_signed], witness[n_signed:]
 
 
-def _cycle_term(g: DecompositionGraph) -> int:
-    return 5 * (len(g.edges) - len(g.vertices) + 1)
-
-
-def _edge_terms(edges: list[Edge]) -> tuple[tuple[str, int], ...]:
-    return tuple((e.id, matrix_complexity(e.matrix)) for e in edges)
-
-
-def _vertex_static(g: DecompositionGraph) -> dict[str, tuple[int, int, int, int, int]]:
-    """Per vertex: (r, h, b, base term, fibre sum)."""
-    stats = degree_stats(g)
-    out = {}
-    for vid, s in g.vertices.items():
-        r = len(s.fibres)
-        h = handle_count(s)
-        base = 3 * (stats[vid].d + r + 2 * h - 2)
-        fib = sum(cf_sum(p, q) - 2 for p, q in s.fibres)
-        out[vid] = (r, h, s.b, base, fib)
-    return out
-
-
-def _penalties(
+def _bound(
     g: DecompositionGraph,
-    stats,
-    static: dict[str, tuple[int, int, int, int, int]],
-    plus_extra: dict[str, int],
-    minus_extra: dict[str, int],
-) -> tuple[int, dict[str, int]]:
-    """Penalty sum and per-vertex penalties for one degree bookkeeping."""
-    pens = {}
-    total = 0
-    for vid in g.vertices:
-        r, h, b, _, _ = static[vid]
-        m = 1 - r - h - stats[vid].d_minus - minus_extra.get(vid, 0)
-        M = h + stats[vid].d_plus + plus_extra.get(vid, 0) - 1
-        pen = f(m, M, b)
-        pens[vid] = pen
-        total += pen
-    return total, pens
-
-
-def _psi_extras(h_edges: list[Edge], values: tuple[str, ...]) -> tuple[dict[str, int], dict[str, int]]:
-    """d+/d- increments from a sign assignment; a loop hits its vertex twice."""
-    plus: dict[str, int] = {}
-    minus: dict[str, int] = {}
-    for e, val in zip(h_edges, values):
-        bucket = plus if val == "+" else minus
-        bucket[e.src] = bucket.get(e.src, 0) + 1
-        bucket[e.dst] = bucket.get(e.dst, 0) + 1
-    return plus, minus
-
-
-def _assemble(
-    g: DecompositionGraph,
-    theorem: str,
-    phi_term: int,
-    edge_terms: tuple[tuple[str, int], ...],
-    static: dict[str, tuple[int, int, int, int, int]],
-    pens: dict[str, int],
-    witness_tree: tuple[str, ...] | None,
-    witness_psi: tuple[tuple[str, str], ...] | None,
-    witness_psi_prime: tuple[tuple[str, str], ...] | None,
+    theorem: str | None,
+    tree_cap: int = DEFAULT_TREE_CAP,
+    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> BoundReport:
-    cycle = _cycle_term(g)
+    """The evaluator behind all three theorems; None picks the most
+    specific one that applies, any other label is checked to apply."""
+    h_edges, rest = [], []
+    for e in g.edges:
+        (h_edges if is_plus_minus_h(e.matrix) else rest).append(e)
+    phi_value = capital_phi(g) if h_edges else 0
+    if theorem is None:
+        theorem = "general" if phi_value else "tree" if h_edges else "regular"
+    elif theorem == "regular" and h_edges:
+        raise TheoremInapplicable(
+            f"regular evaluator needs a graph without +-H edges, found {[e.id for e in h_edges]}")
+    elif theorem == "tree" and phi_value:
+        raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
+
+    if theorem == "general":
+        layouts = []
+        for tree in optimal_trees(g, cap=tree_cap):
+            inside = set(tree)
+            layouts.append((tree, [e for e in h_edges if e.id in inside],
+                            [e for e in h_edges if e.id not in inside]))
+    else:
+        layouts = [(None, h_edges, [])]
+    # every optimal tree leaves Phi(G) H-edges outside, so all layouts count alike
+    count = 2 ** (len(h_edges) - phi_value) * 6 ** phi_value
+    if theorem != "regular" and count > assignment_cap:
+        raise CapExceeded(
+            f"assignment search needs {count} > cap {assignment_cap} assignments", needed=count)
+
+    stats = degree_stats(g)
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    low, high, bs, fixed = [], [], [], []
+    for vid, s in g.vertices.items():
+        r, h, st = len(s.fibres), handle_count(s), stats[vid]
+        low.append(1 - r - h - st.d_minus)
+        high.append(h + st.d_plus - 1)
+        bs.append(s.b)
+        fixed.append((3 * (st.d + r + 2 * h - 2), sum(cf_sum(p, q) - 2 for p, q in s.fibres)))
+    pens, tree, psi, psi_prime = _search(layouts, low, high, bs, index)
+
+    cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
+    edge_terms = tuple((e.id, matrix_complexity(e.matrix)) for e in rest)
     vertex_terms = tuple(
-        (vid, VertexTerms(static[vid][3], static[vid][4], pens[vid])) for vid in g.vertices
-    )
-    total = (
-        cycle
-        + phi_term
-        + sum(v for _, v in edge_terms)
-        + sum(t.total for _, t in vertex_terms)
-    )
+        (vid, VertexTerms(base, fib, pen)) for vid, (base, fib), pen in zip(g.vertices, fixed, pens))
     return BoundReport(
         theorem=theorem,
-        total=total,
+        total=cycle + phi_value + sum(v for _, v in edge_terms) + sum(t.total for _, t in vertex_terms),
         cycle_term=cycle,
-        phi_term=phi_term,
+        phi_term=phi_value,
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
-        min_penalty=sum(pens.values()),
-        witness_tree=witness_tree,
-        witness_psi=witness_psi,
-        witness_psi_prime=witness_psi_prime,
+        min_penalty=sum(pens),
+        witness_tree=tree,
+        witness_psi=None if theorem == "regular" else psi,
+        witness_psi_prime=psi_prime if theorem == "general" else None,
     )
-
-
-# ---------------------------------------------------------------------------
-# the three evaluators
-# ---------------------------------------------------------------------------
 
 
 def bound_regular(g: DecompositionGraph) -> BoundReport:
     """Bound for graphs without H-edges; no minimization is involved."""
-    h_edges, rest = _split_edges(g)
-    if h_edges:
-        raise TheoremInapplicable(
-            f"regular evaluator needs a graph without +-H edges, found {[e.id for e in h_edges]}")
-    static = _vertex_static(g)
-    _, pens = _penalties(g, degree_stats(g), static, {}, {})
-    return _assemble(g, "regular", 0, _edge_terms(rest), static, pens, None, None, None)
+    return _bound(g, "regular")
 
 
 def bound_tree(g: DecompositionGraph, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
@@ -252,27 +246,7 @@ def bound_tree(g: DecompositionGraph, assignment_cap: int = DEFAULT_ASSIGNMENT_C
     both ends.  The first assignment attaining the minimum (in + before -
     order over id-sorted edges) is reported as the witness.
     """
-    if capital_phi(g) != 0:
-        raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
-    h_edges, rest = _split_edges(g)
-    count = 2 ** len(h_edges)
-    if count > assignment_cap:
-        raise CapExceeded(
-            f"sign assignment search needs {count} > cap {assignment_cap} assignments",
-            needed=count)
-
-    static = _vertex_static(g)
-    stats = degree_stats(g)
-    best: tuple[int, dict[str, int], tuple[str, ...]] | None = None
-    for values in itertools.product(PSI_VALUES, repeat=len(h_edges)):
-        plus, minus = _psi_extras(h_edges, values)
-        total, pens = _penalties(g, stats, static, plus, minus)
-        if best is None or total < best[0]:
-            best = (total, pens, values)
-    assert best is not None  # the empty assignment always exists
-    _, pens, values = best
-    psi = tuple((e.id, v) for e, v in zip(h_edges, values))
-    return _assemble(g, "tree", 0, _edge_terms(rest), static, pens, None, psi, None)
+    return _bound(g, "tree", assignment_cap=assignment_cap)
 
 
 def bound_general(
@@ -290,48 +264,7 @@ def bound_general(
     enumeration order: trees lexicographically, then psi (+ before -),
     then psi' in the order ++, +, +-, -+, -, --.
     """
-    phi_value = capital_phi(g)
-    trees = optimal_trees(g, cap=tree_cap)
-    h_edges, rest = _split_edges(g)
-    static = _vertex_static(g)
-    stats = degree_stats(g)
-
-    best: tuple[int, dict[str, int], SpanningTree, tuple, tuple] | None = None
-    for tree in trees:
-        in_tree = set(tree.edge_ids)
-        tree_h = [e for e in h_edges if e.id in in_tree]
-        outside_h = [e for e in h_edges if e.id not in in_tree]
-        count = (2 ** len(tree_h)) * (6 ** len(outside_h))
-        if count > assignment_cap:
-            raise CapExceeded(
-                f"assignment search needs {count} > cap {assignment_cap} assignments"
-                f" for tree {tree.edge_ids}",
-                needed=count)
-        for psi_vals in itertools.product(PSI_VALUES, repeat=len(tree_h)):
-            psi_plus, psi_minus = _psi_extras(tree_h, psi_vals)
-            for psip_vals in itertools.product(PSI_PRIME_VALUES, repeat=len(outside_h)):
-                plus = dict(psi_plus)
-                minus = dict(psi_minus)
-                for e, val in zip(outside_h, psip_vals):
-                    (sp, sm), (tp, tm) = _PSI_PRIME_WEIGHTS[val]
-                    plus[e.src] = plus.get(e.src, 0) + sp
-                    minus[e.src] = minus.get(e.src, 0) + sm
-                    plus[e.dst] = plus.get(e.dst, 0) + tp
-                    minus[e.dst] = minus.get(e.dst, 0) + tm
-                total, pens = _penalties(g, stats, static, plus, minus)
-                if best is None or total < best[0]:
-                    best = (total, pens, tree, psi_vals, psip_vals)
-
-    assert best is not None  # optimal_trees yields at least one tree
-    _, pens, tree, psi_vals, psip_vals = best
-    in_tree = set(tree.edge_ids)
-    tree_h = [e for e in h_edges if e.id in in_tree]
-    outside_h = [e for e in h_edges if e.id not in in_tree]
-    psi = tuple((e.id, v) for e, v in zip(tree_h, psi_vals))
-    psi_prime = tuple((e.id, v) for e, v in zip(outside_h, psip_vals))
-    return _assemble(
-        g, "general", phi_value, _edge_terms(rest), static, pens,
-        tree.edge_ids, psi, psi_prime)
+    return _bound(g, "general", tree_cap, assignment_cap)
 
 
 def best_bound(
@@ -339,10 +272,5 @@ def best_bound(
     tree_cap: int = DEFAULT_TREE_CAP,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> BoundReport:
-    """Dispatch to the most specific applicable evaluator."""
-    h_edges, _ = _split_edges(g)
-    if not h_edges:
-        return bound_regular(g)
-    if capital_phi(g) == 0:
-        return bound_tree(g, assignment_cap=assignment_cap)
-    return bound_general(g, tree_cap=tree_cap, assignment_cap=assignment_cap)
+    """Bound by the most specific applicable theorem."""
+    return _bound(g, None, tree_cap, assignment_cap)

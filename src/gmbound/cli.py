@@ -2,8 +2,8 @@
 
 Subcommands: validate, bound, normalize, oracle (lemma | phi | minf), batch.
 Exit codes: 0 ok, 1 invalid graph or inapplicable evaluator, 2 unreadable or
-malformed input, 3 search cap exceeded, 4 oracle disagreement.  All output
-is deterministic for a given input.
+malformed input or a bad cap value, 3 search cap exceeded, 4 oracle
+disagreement.  All output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -33,12 +33,24 @@ EXIT_CAP = 3
 EXIT_DISAGREE = 4
 
 
-def _load(path: str) -> DecompositionGraph:
+def _load(path: str | Path) -> DecompositionGraph:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
     return graph_from_json(text)
+
+
+def _cap(text: str) -> int:
+    """A search cap given on the command line: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
 def _print_issues(issues, stream) -> int:
@@ -50,18 +62,6 @@ def _print_issues(issues, stream) -> int:
     for v in errors:
         print(f"{v.clause} {v.subject}: {v.message}", file=stream)
     return len(errors)
-
-
-def _assignment_cap(args) -> int:
-    if args.max_assignments is not None:
-        return args.max_assignments
-    env = os.environ.get("MC_MAX_ASSIGNMENTS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise GraphFormatError(f"MC_MAX_ASSIGNMENTS must be an integer, got {env!r}")
-    return DEFAULT_ASSIGNMENT_CAP
 
 
 def cmd_validate(args) -> int:
@@ -95,8 +95,8 @@ def cmd_bound(args) -> int:
         print("graph is not valid; see messages above", file=sys.stderr)
         return EXIT_INVALID
 
-    assignment_cap = _assignment_cap(args)
-    tree_cap = args.max_trees if args.max_trees is not None else DEFAULT_TREE_CAP
+    assignment_cap = DEFAULT_ASSIGNMENT_CAP if args.max_assignments is None else args.max_assignments
+    tree_cap = DEFAULT_TREE_CAP if args.max_trees is None else args.max_trees
     try:
         if args.theorem == "regular":
             report = bound_regular(g)
@@ -163,11 +163,19 @@ def cmd_oracle_minf(args) -> int:
     mode = "tree" if capital_phi(g) == 0 else "general"
     production = bound_tree(g) if mode == "tree" else bound_general(g)
     exhaustive = bruteforce_min_f(g, mode)
-    if production.min_penalty == exhaustive.value:
-        print(f"min penalty sum = {exhaustive.value} (exhaustive = production, {mode} bookkeeping)")
+    compared = (
+        ("min", production.min_penalty, exhaustive.value),
+        ("tree", production.witness_tree, exhaustive.tree),
+        ("psi", production.witness_psi, exhaustive.psi),
+        ("psi'", production.witness_psi_prime or (), exhaustive.psi_prime),
+    )
+    differing = [(name, ours, theirs) for name, ours, theirs in compared if ours != theirs]
+    if not differing:
+        print(f"min penalty sum = {exhaustive.value}, witnesses equal"
+              f" (exhaustive = production, {mode} bookkeeping)")
         return EXIT_OK
-    print(f"DISAGREEMENT: production min = {production.min_penalty},"
-          f" exhaustive min = {exhaustive.value}")
+    for name, ours, theirs in differing:
+        print(f"DISAGREEMENT: production {name} = {ours}, exhaustive {name} = {theirs}")
     return EXIT_DISAGREE
 
 
@@ -180,8 +188,8 @@ def cmd_batch(args) -> int:
     for path in sorted(root.glob("*.json")):
         print(f"== {path.name}")
         try:
-            g = graph_from_json(path.read_text())
-        except (OSError, GraphFormatError) as exc:
+            g = _load(path)
+        except GraphFormatError as exc:
             print(f"parse error: {exc}")
             worst = max(worst, EXIT_PARSE)
             print()
@@ -218,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--theorem", choices=("auto", "regular", "tree", "general"), default="auto")
     p.add_argument("--breakdown", action="store_true", help="print the full term breakdown")
-    p.add_argument("--max-trees", type=int, default=None, help="cap on enumerated spanning trees")
-    p.add_argument("--max-assignments", type=int, default=None,
+    p.add_argument("--max-trees", type=_cap, default=None, help="cap on enumerated spanning trees")
+    p.add_argument("--max-assignments", type=_cap, default=None,
                    help="cap on sign assignments per tree (also MC_MAX_ASSIGNMENTS)")
     p.add_argument("--normalize-first", action="store_true",
                    help="normalize edge matrices (shifting b parameters) before validating")
@@ -252,7 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    env = os.environ.get("MC_MAX_ASSIGNMENTS")
+    if args.command == "bound" and args.max_assignments is None and env is not None:
+        try:
+            args.max_assignments = _cap(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"MC_MAX_ASSIGNMENTS {exc}")
     try:
         return args.func(args)
     except GraphFormatError as exc:

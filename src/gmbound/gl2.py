@@ -53,6 +53,7 @@ class Gl2Matrix:
 IDENTITY = Gl2Matrix(1, 0, 0, 1)
 H = Gl2Matrix(0, 1, 1, 0)
 U = Gl2Matrix(1, 0, 1, 1)
+_MINUS_H = -H
 
 
 def compose(a: Gl2Matrix, b: Gl2Matrix) -> Gl2Matrix:
@@ -72,7 +73,7 @@ def power_u(k: int) -> Gl2Matrix:
 
 def is_plus_minus_h(a: Gl2Matrix) -> bool:
     """True exactly for H and -H, the fibre-swapping gluings."""
-    return a == H or a == -H
+    return a == H or a == _MINUS_H
 
 
 def _check_edge_label(a: Gl2Matrix) -> None:

@@ -195,10 +195,11 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         if e.is_loop:
             out.append(Violation("loops", e.id, "loop edge (admitted; never part of a spanning tree)", "note"))
 
+    degrees = {vid: st.d for vid, st in degree_stats(g).items()}
     for vid, s in g.vertices.items():
         for msg in fibre_problems(s):
             out.append(Violation("seifert-data", vid, msg))
-        for msg in validate_class_s(s, degree(g, vid)):
+        for msg in validate_class_s(s, degrees[vid]):
             out.append(Violation("class-S", vid, msg))
 
     # exclusion (i): an H-edge may not touch a degree-1 piece (0,1,(2,1),(2,1),-1)
@@ -207,7 +208,7 @@ def validate(g: DecompositionGraph) -> list[Violation]:
             continue
         for vid in {e.src, e.dst}:
             s = g.vertices[vid]
-            if _is_two_half_fibred_disk(s) and s.b == -1 and degree(g, vid) == 1:
+            if _is_two_half_fibred_disk(s) and s.b == -1 and degrees[vid] == 1:
                 out.append(Violation(
                     "(i)", e.id,
                     f"+-H gluing touches vertex {vid}, a (0,1,(2,1),(2,1),-1) piece"))
@@ -319,12 +320,15 @@ def graph_from_json(text: str) -> DecompositionGraph:
     """Parse the strict JSON document format.
 
     Structural problems (wrong shapes, unknown keys, non-integer numbers,
+    integers beyond Python's digit limit, nesting too deep to decode,
     duplicate ids, dangling endpoint references, matrices outside GL2(Z))
     raise GraphFormatError; admissibility problems are left to validate().
     """
     try:
         doc = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
-    except json.JSONDecodeError as exc:
+    except GraphFormatError:
+        raise
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
 
     _check_keys(doc, {"vertices", "edges"}, "document")

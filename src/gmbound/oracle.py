@@ -13,8 +13,9 @@ production shortcuts can be checked against it:
                      bounded |beta| and compares the continued fraction
                      formula with the flip-distance search.
 
-Only the value types, the penalty function f and cf_sum are shared with the
-production code; the search logic is written independently on purpose.
+Only the value types, the default caps, the penalty function f and cf_sum
+are shared with the production code; the search logic is written
+independently on purpose.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bounds import f
+from .bounds import DEFAULT_ASSIGNMENT_CAP, f
 from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance, matrix_complexity
 from .gl2 import H, Gl2Matrix, is_normalized, is_plus_minus_h
 from .graph import DecompositionGraph
 from .spanning import DEFAULT_TREE_CAP, CapExceeded
-
-DEFAULT_ASSIGNMENT_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ empty one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .gl2 import is_plus_minus_h
@@ -28,13 +27,6 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, needed: int | None = None):
         super().__init__(message)
         self.needed = needed
-
-
-@dataclass(frozen=True)
-class SpanningTree:
-    """A spanning tree given by its sorted tuple of edge ids."""
-
-    edge_ids: tuple[str, ...]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -105,9 +97,9 @@ def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
     return not ids  # every id matched an edge of g
 
 
-def phi(g: DecompositionGraph, tree: SpanningTree) -> int:
-    """Number of H-edges outside the tree."""
-    inside = set(tree.edge_ids)
+def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
+    """Number of H-edges outside the tree, given by its edge ids."""
+    inside = set(tree)
     return sum(1 for e in g.edges if e.id not in inside and is_plus_minus_h(e.matrix))
 
 
@@ -136,8 +128,9 @@ def capital_phi(g: DecompositionGraph) -> int:
     return leftover
 
 
-def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[SpanningTree, ...]:
-    """All spanning trees attaining Phi(G), in lexicographic edge-id order.
+def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[tuple[str, ...], ...]:
+    """All spanning trees attaining Phi(G), as sorted edge-id tuples in
+    lexicographic order.
 
     The minimum is taken over the full enumeration rather than trusting
     capital_phi, which keeps the two routes independently checkable.
@@ -145,7 +138,7 @@ def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[S
     best: list[tuple[str, ...]] = []
     best_phi: int | None = None
     for ids in iter_spanning_trees(g, cap):
-        value = phi(g, SpanningTree(ids))
+        value = phi(g, ids)
         if best_phi is None or value < best_phi:
             best_phi = value
             best = [ids]
@@ -153,4 +146,4 @@ def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[S
             best.append(ids)
     if best_phi is None:
         raise ValueError("graph has no spanning tree (disconnected)")
-    return tuple(SpanningTree(ids) for ids in best)
+    return tuple(best)

@@ -196,7 +196,7 @@ def _visit_windows(g) -> tuple[int, int]:
         "--": ((0, 2), (0, 1)),
     }
     for tree in optimal_trees(g):
-        inside = set(tree.edge_ids)
+        inside = set(tree)
         tree_h = [e for e in h_edges if e.id in inside]
         outer_h = [e for e in h_edges if e.id not in inside]
         for psi in itertools.product("+-", repeat=len(tree_h)):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,7 @@ from gmbound.bounds import (
     f,
 )
 from gmbound.gl2 import compose, power_u
-from gmbound.graph import build_graph, degree_stats as _stats, normalize_all
+from gmbound.graph import build_graph, degree_stats as _stats, graph_from_json, normalize_all
 from gmbound.spanning import CapExceeded, capital_phi
 from sample_graphs import (
     h_pair,
@@ -34,6 +37,13 @@ SINGLE_LOOP_BOUND = 9
 H_PAIR_BOUND = 7
 H_PAIR_EXCLUDED_BOUND = 6
 PARALLEL_H_BOUND = 12
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# sha256 over the best_bound and bound_general report bytes of the
+# criterion-4 pool and the (normalized) fixtures: pins totals, breakdowns
+# and witnesses byte for byte, tie-breaking included
+REPORT_DIGEST = "aa40a587b162d4f023cd3ff227fc7e07d5dfd1c2f8aad564a8bc83aa62afebcb"
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +225,18 @@ def test_bound_invariant_under_normalization_moves():
         restored, _ = normalize_all(messy_graph)
         assert restored == g
         assert best_bound(restored).total == reference.total
+
+
+def test_report_bytes_pinned():
+    rng = random.Random(20260401)
+    graphs = [
+        random_valid_graph(rng, max_vertices=5, max_edges=7, p_max=7, b_max=4, h_probability=0.4)
+        for _ in range(1000)
+    ]
+    graphs += [normalize_all(graph_from_json(path.read_text()))[0]
+               for path in sorted(FIXTURES.glob("*.json"))]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for evaluate in (best_bound, bound_general):
+            digest.update(json.dumps(evaluate(g).to_json_dict(), indent=2).encode() + b"\n")
+    assert digest.hexdigest() == REPORT_DIGEST

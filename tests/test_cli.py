@@ -6,7 +6,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from gmbound import cli
+from gmbound.oracle import MinFResult
+
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# inputs that must end in a parse error (exit 2), not in a traceback
+HOSTILE = {
+    "huge_int": ('{"vertices": [{"id": "v1", "g": ' + "9" * 5000 + ', "fibres": [], "b": 0}],'
+                 ' "edges": []}').encode(),
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    # a valid graph once decoded as Latin-1, which a graph file must not be
+    "not_utf8": (FIXTURES / "regular_pair.json").read_text().replace('"v1"', '"v\u00e9"').encode("latin-1"),
+}
 
 
 def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -117,6 +131,17 @@ def test_bound_assignment_cap_flag_and_env():
         env_extra={"MC_MAX_ASSIGNMENTS": "1"},
     )
     assert result.returncode == 0
+    # negative or non-integer caps are usage errors, even where no search runs
+    for flag in ("--max-assignments", "--max-trees"):
+        result = run_cli("bound", flag, "-1", str(FIXTURES / "regular_pair.json"))
+        assert result.returncode == 2
+        assert f"argument {flag}: must be a non-negative integer" in result.stderr
+    for value in ("x", "-1"):
+        result = run_cli("bound", str(FIXTURES / "regular_pair.json"),
+                         env_extra={"MC_MAX_ASSIGNMENTS": value})
+        assert result.returncode == 2
+        assert "MC_MAX_ASSIGNMENTS must be a non-negative integer" in result.stderr
+        assert "parse error" not in result.stderr
 
 
 def test_bound_deterministic_output():
@@ -162,6 +187,16 @@ def test_oracle_minf():
     assert "general bookkeeping" in result.stdout
 
 
+def test_oracle_minf_compares_witnesses(monkeypatch, capsys):
+    # same value as production, other witnesses: still a disagreement
+    monkeypatch.setattr(cli, "bruteforce_min_f",
+                        lambda g, mode: MinFResult(0, ("e2",), (("e2", "+"),), (("e1", "++"),)))
+    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 4
+    out = capsys.readouterr().out
+    assert "DISAGREEMENT: production tree = ('e1',), exhaustive tree = ('e2',)" in out
+    assert "production min" not in out
+
+
 def test_batch_over_fixtures():
     result = run_cli("batch", str(FIXTURES))
     # the fixture set deliberately contains invalid graphs
@@ -178,3 +213,28 @@ def test_batch_over_fixtures():
 def test_batch_missing_directory(tmp_path):
     result = run_cli("batch", str(tmp_path / "nowhere"))
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_is_a_parse_error(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(HOSTILE[name])
+    for command in ("bound", "validate"):
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert "parse error" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_batch_goes_on_after_a_bad_file(tmp_path):
+    (tmp_path / "a.json").write_text((FIXTURES / "regular_pair.json").read_text())
+    (tmp_path / "b.json").write_bytes(HOSTILE["deep"])
+    (tmp_path / "c.json").write_text((FIXTURES / "h_pair.json").read_text())
+    result = run_cli("batch", str(tmp_path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    blocks = result.stdout.strip().split("\n\n")
+    assert [b.splitlines()[0] for b in blocks] == ["== a.json", "== b.json", "== c.json"]
+    assert "bound: 8" in blocks[0]
+    assert blocks[1].splitlines()[1].startswith("parse error: ")
+    assert "bound: 7" in blocks[2]

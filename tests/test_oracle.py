@@ -55,7 +55,7 @@ def test_min_f_assignment_cap():
 
 def test_min_f_matches_production_sweep():
     rng = random.Random(59)
-    for _ in range(40):
+    for _ in range(1000):
         g = random_valid_graph(rng, max_edges=5)
         if capital_phi(g) == 0:
             production = bound_tree(g)
@@ -64,6 +64,9 @@ def test_min_f_matches_production_sweep():
             production = bound_general(g)
             result = bruteforce_min_f(g, "general")
         assert result.value == production.min_penalty
+        assert result.tree == production.witness_tree
+        assert result.psi == production.witness_psi
+        assert result.psi_prime == (production.witness_psi_prime or ())
 
 
 def test_verify_lemma_small():
