@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .bounds import (
@@ -53,6 +54,27 @@ def _cap(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's limit on int-to-string conversion inside the block.
+
+    Python refuses to convert an int of more than 4300 digits to or from a
+    string, to keep parsing hostile input cheap.  A bound, or a b after
+    normalizing, of an accepted graph can be longer, so the limit is lifted
+    while such output is written and graph_from_json keeps it.  The k and h
+    of a move never outgrow the parsed entries.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):  # Pythons without the limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _print_issues(issues, stream) -> int:
     """Print notes then errors; returns the number of errors."""
     errors = [v for v in issues if v.severity == "error"]
@@ -80,6 +102,15 @@ def _report_moves(moves, stream) -> None:
     for mv in changed:
         print(f"edge {mv.edge_id}: k={mv.k}, h={mv.h}"
               f" (b: source {mv.k:+d}, target {-mv.h:+d})", file=stream)
+
+
+def _print_report(report, breakdown: bool = False) -> None:
+    with _all_digits():
+        print(f"theorem: {report.theorem}")
+        print(f"bound: {report.total}")
+        if breakdown:
+            print("breakdown:")
+            print(json.dumps(report.to_json_dict(), indent=2))
 
 
 def cmd_bound(args) -> int:
@@ -110,11 +141,7 @@ def cmd_bound(args) -> int:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    print(f"theorem: {report.theorem}")
-    print(f"bound: {report.total}")
-    if args.breakdown:
-        print("breakdown:")
-        print(json.dumps(report.to_json_dict(), indent=2))
+    _print_report(report, args.breakdown)
     return EXIT_OK
 
 
@@ -126,7 +153,8 @@ def cmd_normalize(args) -> int:
         print(f"cannot normalize: {exc}", file=sys.stderr)
         return EXIT_INVALID
     _report_moves(moves, sys.stderr)
-    sys.stdout.write(graph_to_json(g))
+    with _all_digits():
+        sys.stdout.write(graph_to_json(g))
     return EXIT_OK
 
 
@@ -206,8 +234,7 @@ def cmd_batch(args) -> int:
             worst = max(worst, EXIT_CAP)
             print()
             continue
-        print(f"theorem: {report.theorem}")
-        print(f"bound: {report.total}")
+        _print_report(report)
         print()
     return worst
 

@@ -9,7 +9,8 @@ where eps is the sign of beta.  Every determinant -1 matrix with beta != 0
 can be brought to normalized form by multiplying with powers of
 U = (1 0 / 1 1) on both sides.  The exponents are returned alongside the
 result because the same moves shift the integer parameters b of the Seifert
-pieces glued along the edge (see graph.normalize_edge).
+pieces glued along the edge (see graph.normalize_edge for one edge and
+graph.normalize_all for a whole graph).
 
 All arithmetic is plain Python integer arithmetic, so it is exact at any
 magnitude.
@@ -53,7 +54,6 @@ class Gl2Matrix:
 IDENTITY = Gl2Matrix(1, 0, 0, 1)
 H = Gl2Matrix(0, 1, 1, 0)
 U = Gl2Matrix(1, 0, 1, 1)
-_MINUS_H = -H
 
 
 def compose(a: Gl2Matrix, b: Gl2Matrix) -> Gl2Matrix:
@@ -73,7 +73,7 @@ def power_u(k: int) -> Gl2Matrix:
 
 def is_plus_minus_h(a: Gl2Matrix) -> bool:
     """True exactly for H and -H, the fibre-swapping gluings."""
-    return a == H or a == _MINUS_H
+    return a.alpha == a.delta == 0 and a.beta == a.gamma and a.beta in (1, -1)
 
 
 def _check_edge_label(a: Gl2Matrix) -> None:
@@ -95,18 +95,21 @@ def normalize(a: Gl2Matrix) -> tuple[Gl2Matrix, int, int]:
     """Normalize a determinant -1 matrix with beta != 0.
 
     Returns (a_normalized, k, h) with a_normalized = U^h * a * U^k, where
-    k = -floor(alpha / beta) and h = -floor(delta' / beta) is read off the
-    intermediate product a * U^k.  Right multiplication by U^k leaves the
-    (2,2) entry untouched, so h agrees with -floor(delta / beta) computed
-    from the original matrix; a unit test pins that down rather than the
-    code assuming it.  Already-normalized input comes back unchanged with
+    k = -floor(alpha / beta) and h = -floor(delta / beta).  The product is
+    built in closed form: right multiplication by U^k adds k times the
+    second column to the first, giving alpha' = alpha + k*beta and
+    gamma + k*delta, and leaves beta and delta untouched, which is why h can
+    be read off the original delta (a unit test pins that down); left
+    multiplication by U^h then adds h times the first row to the second.
+    So a_normalized = (alpha', beta / gamma + k*delta + h*alpha',
+    delta + h*beta).  Already-normalized input comes back unchanged with
     k = h = 0, and beta itself is never changed.
     """
     _check_edge_label(a)
     k = -(a.alpha // a.beta)
-    step = compose(a, power_u(k))
-    h = -(step.delta // step.beta)
-    out = compose(power_u(h), step)
+    h = -(a.delta // a.beta)
+    alpha = a.alpha + k * a.beta
+    out = Gl2Matrix(alpha, a.beta, a.gamma + k * a.delta + h * alpha, a.delta + h * a.beta)
     if not is_normalized(out):
         raise RuntimeError(f"normalization failed for {a}; this is a bug")
     return out, k, h

@@ -273,12 +273,24 @@ def normalize_edge(g: DecompositionGraph, edge_id: str) -> tuple[DecompositionGr
 
 
 def normalize_all(g: DecompositionGraph) -> tuple[DecompositionGraph, list[EdgeMove]]:
-    """Normalize every edge in id order; returns the new graph and the moves."""
+    """Normalize every edge in id order; returns the new graph and the moves.
+
+    One O(V + E) pass: each edge's matrix depends only on itself, and the b
+    shifts add and commute, so they are summed per vertex and applied once.
+    The graph, the moves and any error equal those of folding normalize_edge
+    over the edges in id order.
+    """
+    shift = dict.fromkeys(g.vertices, 0)
+    edges = []
     moves = []
     for e in g.edges:
-        g, mv = normalize_edge(g, e.id)
-        moves.append(mv)
-    return g, moves
+        new_matrix, k, h = normalize(e.matrix)
+        shift[e.src] += k
+        shift[e.dst] -= h
+        edges.append(Edge(e.id, e.src, e.dst, new_matrix))
+        moves.append(EdgeMove(e.id, k, h))
+    vertices = {vid: replace(s, b=s.b + shift[vid]) for vid, s in g.vertices.items()}
+    return DecompositionGraph(vertices, tuple(edges)), moves
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from gmbound import cli
+from gmbound.bounds import best_bound
+from gmbound.graph import graph_from_json, normalize_all
 from gmbound.oracle import MinFResult
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -21,6 +23,31 @@ HOSTILE = {
     # a valid graph once decoded as Latin-1, which a graph file must not be
     "not_utf8": (FIXTURES / "regular_pair.json").read_text().replace('"v1"', '"v\u00e9"').encode("latin-1"),
 }
+
+# valid graphs holding 4300-digit integers, the longest a graph file may hold;
+# their bound, or a b after normalizing, is longer than Python converts to a
+# string by default
+BIG = 10**4300 - 1
+LONG_BOUND = json.dumps({
+    "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0},
+                 {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": -2}],
+    "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[BIG - 1, BIG], [1, 1]]}],
+})
+LONG_SHIFT = json.dumps({  # normalizing moves each edge by k = -BIG at v1
+    "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0},
+                 {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0}],
+    "edges": [{"id": eid, "from": "v1", "to": "v2", "matrix": [[BIG, 1], [1, 0]]}
+              for eid in ("e1", "e2")],
+})
+
+
+def _report_text(report, breakdown: bool = False) -> str:
+    """What `bound` prints for a report, written with every digit."""
+    with cli._all_digits():
+        text = f"theorem: {report.theorem}\nbound: {report.total}\n"
+        if breakdown:
+            text += "breakdown:\n" + json.dumps(report.to_json_dict(), indent=2) + "\n"
+    return text
 
 
 def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
@@ -238,3 +265,43 @@ def test_batch_goes_on_after_a_bad_file(tmp_path):
     assert "bound: 8" in blocks[0]
     assert blocks[1].splitlines()[1].startswith("parse error: ")
     assert "bound: 7" in blocks[2]
+
+
+def test_bound_prints_every_digit(tmp_path):
+    path = tmp_path / "long_bound.json"
+    path.write_text(LONG_BOUND)
+    report = best_bound(graph_from_json(LONG_BOUND))
+    assert report.total > 10**4300
+    for flags in ((), ("--breakdown",)):
+        result = run_cli("bound", *flags, str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == _report_text(report, bool(flags))
+
+
+def test_batch_goes_on_after_a_long_bound(tmp_path):
+    (tmp_path / "a.json").write_text(LONG_BOUND)
+    (tmp_path / "h_pair.json").write_text((FIXTURES / "h_pair.json").read_text())
+    result = run_cli("batch", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    blocks = result.stdout.strip().split("\n\n")
+    assert len(blocks) == 2
+    report = best_bound(graph_from_json(LONG_BOUND))
+    assert blocks[0] == "== a.json\nok\n" + _report_text(report).rstrip("\n")
+    assert blocks[1].splitlines()[0] == "== h_pair.json"
+    assert "bound: 7" in blocks[1]
+
+
+def test_normalize_prints_long_b_shifts(tmp_path):
+    path = tmp_path / "long_shift.json"
+    path.write_text(LONG_SHIFT)
+    result = run_cli("normalize", str(path))
+    assert result.returncode == 0, result.stderr
+    with cli._all_digits():
+        doc = json.loads(result.stdout)
+    assert {v["id"]: v["b"] for v in doc["vertices"]} == {"v1": -2 * BIG, "v2": 0}
+    assert [e["matrix"] for e in doc["edges"]] == [[[0, 1], [1, 0]]] * 2
+    assert f"edge e2: k={-BIG}, h=0" in result.stderr
+    result = run_cli("bound", "--normalize-first", str(path))
+    assert result.returncode == 0, result.stderr
+    normalized, _ = normalize_all(graph_from_json(LONG_SHIFT))
+    assert result.stdout == _report_text(best_bound(normalized))

@@ -57,6 +57,18 @@ def test_is_plus_minus_h():
     assert not is_plus_minus_h(U)
 
 
+def test_is_plus_minus_h_agrees_with_equality():
+    rng = random.Random(4300)
+    samples = [random_det_minus_one_matrix(rng) for _ in range(10_000)]
+    # normalized labels with |beta| <= 2: about half of them are +-H
+    samples += [normalize(random_det_minus_one_matrix(rng, size=2))[0] for _ in range(1000)]
+    # near misses: det +1 rotations, and a diagonal label
+    samples += [H, -H, Gl2Matrix(0, 1, -1, 0), Gl2Matrix(0, -1, 1, 0), Gl2Matrix(1, 0, 0, -1)]
+    answers = [is_plus_minus_h(a) for a in samples]
+    assert answers == [a == H or a == -H for a in samples]
+    assert 100 < sum(answers) < len(samples) - 100
+
+
 def test_is_normalized_examples():
     assert is_normalized(H)
     assert is_normalized(-H)

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
-from gmbound.gl2 import H, Gl2Matrix
+from gmbound.gl2 import H, U, Gl2Matrix, compose, power_u
 from gmbound.graph import (
     DecompositionGraph,
     DegreeStats,
@@ -227,6 +228,83 @@ def test_normalize_all_idempotent():
     twice, moves2 = normalize_all(once)
     assert twice == once
     assert all(m.k == 0 and m.h == 0 for m in moves2)
+
+
+def _fold_normalize_edge(g: DecompositionGraph):
+    moves = []
+    for e in g.edges:
+        g, move = normalize_edge(g, e.id)
+        moves.append(move)
+    return g, moves
+
+
+def _denormalize(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph:
+    """Replace each edge matrix A by U^h * A * U^k for random h and k."""
+    edges = tuple(
+        Edge(e.id, e.src, e.dst,
+             compose(power_u(rng.randint(-9, 9)), compose(e.matrix, power_u(rng.randint(-9, 9)))))
+        for e in g.edges
+    )
+    return DecompositionGraph(g.vertices, edges)
+
+
+def _loops_and_parallel_edges(rng: random.Random) -> DecompositionGraph:
+    """Loops at both ends of parallel edges in both directions; twelve edges,
+    so id order (e1, e10, e11, e12, e2, ...) differs from insertion order."""
+    ends = [("v1", "v1"), ("v1", "v2"), ("v1", "v2"), ("v2", "v1"), ("v2", "v2"), ("v2", "v3"),
+            ("v3", "v3"), ("v3", "v1"), ("v1", "v3"), ("v3", "v3"), ("v2", "v2"), ("v1", "v2")]
+    vertices = {vid: SeifertData(0, ((2, 1),), rng.randint(-4, 4)) for vid in ("v1", "v2", "v3")}
+    edges = [Edge(f"e{i + 1}", src, dst, H if i % 3 == 0 else Gl2Matrix(2, 3, 1, 1))
+             for i, (src, dst) in enumerate(ends)]
+    return build_graph(vertices, edges)
+
+
+def test_normalize_all_equals_folding_normalize_edge():
+    rng = random.Random(20261018)
+    graphs = [random_valid_graph(rng) for _ in range(500)]
+    graphs += [single_loop(), parallel_h()] + [_loops_and_parallel_edges(rng) for _ in range(20)]
+    moved = 0
+    for g in graphs:
+        g = _denormalize(g, rng)
+        expected, expected_moves = _fold_normalize_edge(g)
+        out, moves = normalize_all(g)
+        assert out == expected
+        assert graph_to_json(out) == graph_to_json(expected)
+        assert moves == expected_moves
+        moved += sum(1 for m in moves if m.k or m.h)
+    assert moved > 1000  # the sweep really moves matrices out of normal form
+
+
+@pytest.mark.parametrize("bad", [Gl2Matrix(1, 0, 0, -1), U], ids=["beta_zero", "det_plus_one"])
+def test_normalize_all_raises_like_the_fold(bad):
+    # e3 fails too, so the message also shows which edge failed first
+    g = build_graph(
+        {"v1": SeifertData(0, ((2, 1), (2, 1)), 0), "v2": SeifertData(0, ((2, 1), (2, 1)), 0)},
+        [Edge("e1", "v1", "v2", Gl2Matrix(5, 3, 2, 1)), Edge("e2", "v2", "v1", bad),
+         Edge("e3", "v1", "v1", Gl2Matrix(1, 0, 0, -1))],
+    )
+    with pytest.raises(ValueError) as folded:
+        _fold_normalize_edge(g)
+    with pytest.raises(ValueError) as direct:
+        normalize_all(g)
+    assert str(direct.value) == str(folded.value)
+    assert type(direct.value) is type(folded.value)
+
+
+def test_normalize_all_is_linear():
+    # folding normalize_edge, which rebuilds the graph once per edge, takes seconds on this cycle
+    n = 4000
+    vertices = {f"v{i:04d}": SeifertData(0, ((2, 1), (3, 1)), 0) for i in range(n)}
+    edges = [Edge(f"e{i:04d}", f"v{i:04d}", f"v{(i + 1) % n:04d}", Gl2Matrix(5, 3, 2, 1))
+             for i in range(n)]
+    g = build_graph(vertices, edges)
+    start = time.perf_counter()
+    out, moves = normalize_all(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5
+    assert all((m.k, m.h) == (-1, 0) for m in moves)
+    assert all(s.b == -1 for s in out.vertices.values())
+    assert is_valid(out)
 
 
 # ---------------------------------------------------------------------------
