@@ -5,16 +5,18 @@ one term cf_sum(|beta|, |delta|) - 1 per non-H edge, plus a vertex term
 3(d + r + 2h - 2) + sum(cf_sum(p, q) - 2) per piece, plus the least sum of
 penalties f, one per vertex, each measuring how far b lies from a window
 [m, M] set by the degree bookkeeping.  One search minimizes that penalty
-sum over layouts, each an optimal spanning tree (or none) with its H-edges
-split into signed ones and six-valued ones; the three theorems are three
-labels over it:
+sum over layouts, each a spanning tree (or none) with its H-edges split
+into signed ones and six-valued ones; the three theorems are three labels
+over it:
 
   bound_regular   no H-edges: one empty layout, nothing to choose;
   bound_tree      every H-edge fits into a single spanning tree (Phi = 0):
                   one layout with a sign + or - on every H-edge;
-  bound_general   arbitrary graphs: one layout per optimal spanning tree,
-                  signs on its H-edges and one of six values on each H-edge
-                  left outside it, paying Phi(G) for those.
+  bound_general   arbitrary graphs: one layout per distinct set T & H of
+                  H-edges inside an optimal spanning tree T, taking the
+                  first such tree, since the penalties depend on T only
+                  through T & H; signs on T & H and one of six values on
+                  each H-edge left outside, paying Phi(G) for those.
 
 The search is exhaustive, capped and deterministic: ties go to the first
 labeling in enumeration order (layouts in tree order, then signs with +
@@ -190,6 +192,12 @@ def _bound(
     elif theorem == "tree" and phi_value:
         raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
 
+    # every optimal tree leaves Phi(G) H-edges outside, so the count does not
+    # depend on the tree and is checked before any tree is enumerated
+    count = 2 ** (len(h_edges) - phi_value) * 6 ** phi_value
+    if theorem != "regular" and count > assignment_cap:
+        raise CapExceeded(
+            f"assignment search needs {count} > cap {assignment_cap} assignments", needed=count)
     if theorem == "general":
         layouts = []
         for tree in optimal_trees(g, cap=tree_cap):
@@ -198,11 +206,6 @@ def _bound(
                             [e for e in h_edges if e.id not in inside]))
     else:
         layouts = [(None, h_edges, [])]
-    # every optimal tree leaves Phi(G) H-edges outside, so all layouts count alike
-    count = 2 ** (len(h_edges) - phi_value) * 6 ** phi_value
-    if theorem != "regular" and count > assignment_cap:
-        raise CapExceeded(
-            f"assignment search needs {count} > cap {assignment_cap} assignments", needed=count)
 
     stats = degree_stats(g)
     index = {vid: i for i, vid in enumerate(g.vertices)}

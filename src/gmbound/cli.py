@@ -253,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--theorem", choices=("auto", "regular", "tree", "general"), default="auto")
     p.add_argument("--breakdown", action="store_true", help="print the full term breakdown")
-    p.add_argument("--max-trees", type=_cap, default=None, help="cap on enumerated spanning trees")
+    p.add_argument("--max-trees", type=_cap, default=None,
+                   help="cap on optimal trees (one per set of tree H-edges)")
     p.add_argument("--max-assignments", type=_cap, default=None,
                    help="cap on sign assignments per tree (also MC_MAX_ASSIGNMENTS)")
     p.add_argument("--normalize-first", action="store_true",

@@ -1,10 +1,13 @@
 """Spanning trees of a decomposition graph and the H-edge defect Phi.
 
 For a spanning tree T, phi(T) counts the H-edges (matrix +-H) left outside
-T, and Phi(G) is the minimum of phi over all spanning trees.  Phi comes from
-a greedy forest construction; the exhaustive enumeration below is only used
-when the full set of optimal trees is needed, and doubles as an internal
-cross-check of the greedy value.
+T, and Phi(G) is the minimum of phi over all spanning trees.  Spanning
+forests form a matroid, so Phi comes from a greedy forest construction, and
+a tree attains Phi exactly when its H-edges T & H form a basis of the
+H-subgraph's graphic matroid, a spanning forest of the H-edges.  Everything
+the bounds score depends on T only through T & H, so the optimal trees are
+enumerated one per basis; the enumeration of every spanning tree stays as
+the reference the tests compare against.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -29,51 +32,66 @@ class CapExceeded(RuntimeError):
         self.needed = needed
 
 
+def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
+    """(id, source index, target index) of the edges that keep accepts, in id order."""
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    return [(e.id, index[e.src], index[e.dst]) for e in g.edges if keep(e)]
+
+
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         x = parent[x]
     return x
 
 
-def iter_spanning_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, ...]]:
-    """All spanning trees as sorted edge-id tuples, in lexicographic order.
+def _grow(parent: list[int], links) -> list[str]:
+    """Add, in order, each link that joins two components of the union-find
+    parent; return the ids of the links added."""
+    added = []
+    for eid, u, v in links:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            added.append(eid)
+    return added
 
-    Backtracks over the non-loop edges in id order, keeping partial choices
-    acyclic with a union-find; any acyclic set of |V| - 1 edges is a
-    spanning tree.  Raises CapExceeded once more than cap trees have been
-    produced, so a capped caller never sees a silently truncated list.
+
+def _forests(n: int, links, need: int, cap: int, what: str) -> Iterator[tuple[str, ...]]:
+    """Every acyclic need-subset of links as a tuple of ids, in lexicographic
+    order of link positions.
+
+    Backtracks over an explicit stack of (next link, union-find, chosen)
+    frames instead of recursing, so deep graphs stay within Python's
+    recursion limit.  Raises CapExceeded once more than cap subsets have
+    been produced, so a capped caller never sees a silently truncated list.
     """
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    cands = [(e.id, index[e.src], index[e.dst]) for e in g.edges if e.src != e.dst]
-    need = len(g.vertices) - 1
-    if need == 0:
-        yield ()
-        return
-
     emitted = 0
-
-    def extend(start: int, parent: list[int], chosen: list[str]) -> Iterator[tuple[str, ...]]:
-        nonlocal emitted
-        if len(chosen) == need:
-            emitted += 1
-            if emitted > cap:
-                raise CapExceeded(f"more than {cap} spanning trees", needed=None)
-            yield tuple(chosen)
-            return
-        for i in range(start, len(cands)):
-            if len(cands) - i < need - len(chosen):
-                break
-            eid, u, v = cands[i]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                continue
+    stack = [(0, list(range(n)), ())]
+    while stack:
+        start, parent, chosen = stack.pop()
+        short = need - len(chosen)
+        if short == 0 or start + short == len(links):
+            # no choice is left: the remaining links must all join
+            added = _grow(parent, links[start:start + short])
+            if len(added) == short:
+                emitted += 1
+                if emitted > cap:
+                    raise CapExceeded(f"more than {cap} {what}")
+                yield chosen + tuple(added)
+            continue
+        children = []
+        for i in range(start, len(links) - short + 1):
             merged = parent.copy()
-            merged[ru] = rv
-            chosen.append(eid)
-            yield from extend(i + 1, merged, chosen)
-            chosen.pop()
+            if _grow(merged, links[i:i + 1]):
+                children.append((i + 1, merged, chosen + (links[i][0],)))
+        stack.extend(reversed(children))
 
-    yield from extend(0, list(range(len(g.vertices))), [])
+
+def iter_spanning_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, ...]]:
+    """All spanning trees as sorted edge-id tuples, in lexicographic order:
+    the acyclic sets of |V| - 1 non-loop edges."""
+    links = _links(g, lambda e: e.src != e.dst)
+    return _forests(len(g.vertices), links, len(g.vertices) - 1, cap, "spanning trees")
 
 
 def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
@@ -82,19 +100,8 @@ def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
     ids = set(listed)
     if len(ids) != len(listed) or len(ids) != len(g.vertices) - 1:
         return False
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    parent = list(range(len(g.vertices)))
-    for e in g.edges:
-        if e.id not in ids:
-            continue
-        ids.discard(e.id)
-        if e.src == e.dst:
-            return False
-        ru, rv = _find(parent, index[e.src]), _find(parent, index[e.dst])
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return not ids  # every id matched an edge of g
+    links = _links(g, lambda e: e.id in ids)
+    return len(_grow(list(range(len(g.vertices))), links)) == len(ids)
 
 
 def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
@@ -106,44 +113,38 @@ def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
 def capital_phi(g: DecompositionGraph) -> int:
     """Minimum of phi over all spanning trees, computed greedily.
 
-    Spanning forests form a matroid, so inserting the non-loop H-edges
-    first packs as many of them into a single spanning tree as possible;
-    what cannot be placed, plus every H-loop, is exactly the minimum.
-    The graph must be connected.
+    Spanning forests form a matroid, so inserting the H-edges first packs
+    as many of them into a single spanning tree as possible; what cannot be
+    placed, every H-loop among it, is exactly the minimum.  The graph must
+    be connected.
     """
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    parent = list(range(len(g.vertices)))
-    leftover = 0
-    for e in g.edges:
-        if not is_plus_minus_h(e.matrix):
-            continue
-        if e.src == e.dst:
-            leftover += 1
-            continue
-        ru, rv = _find(parent, index[e.src]), _find(parent, index[e.dst])
-        if ru == rv:
-            leftover += 1
-        else:
-            parent[ru] = rv
-    return leftover
+    h_links = _links(g, lambda e: is_plus_minus_h(e.matrix))
+    return len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
 
 
 def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[tuple[str, ...], ...]:
-    """All spanning trees attaining Phi(G), as sorted edge-id tuples in
-    lexicographic order.
+    """One spanning tree attaining Phi(G) per distinct set of tree H-edges,
+    as sorted edge-id tuples in lexicographic order.
 
-    The minimum is taken over the full enumeration rather than trusting
-    capital_phi, which keeps the two routes independently checkable.
+    The tree H-edges of an optimal tree are a basis B of the H-subgraph's
+    graphic matroid, and every basis occurs.  For each B the tree is the
+    greedy completion of B over all edges in id order, which is the
+    lexicographically first tree holding B; every other H-edge closes a
+    cycle, because B is maximal.  So the result is the first tree of each
+    class of optimal trees sharing their H-edges.  Raises CapExceeded when
+    there are more than cap such trees.
     """
-    best: list[tuple[str, ...]] = []
-    best_phi: int | None = None
-    for ids in iter_spanning_trees(g, cap):
-        value = phi(g, ids)
-        if best_phi is None or value < best_phi:
-            best_phi = value
-            best = [ids]
-        elif value == best_phi:
-            best.append(ids)
-    if best_phi is None:
-        raise ValueError("graph has no spanning tree (disconnected)")
-    return tuple(best)
+    n = len(g.vertices)
+    links = _links(g, lambda e: True)
+    h_links = [link for link, e in zip(links, g.edges) if is_plus_minus_h(e.matrix)]
+    rank = len(_grow(list(range(n)), h_links))
+    by_id = {link[0]: link for link in h_links}
+    trees = []
+    for basis in _forests(n, h_links, rank, cap, "optimal trees"):
+        parent = list(range(n))
+        _grow(parent, [by_id[eid] for eid in basis])
+        tree = set(basis).union(_grow(parent, links))
+        if len(tree) != n - 1:
+            raise ValueError("graph has no spanning tree (disconnected)")
+        trees.append(tuple(e.id for e in g.edges if e.id in tree))
+    return tuple(sorted(trees))

@@ -182,15 +182,67 @@ def random_valid_graph(
     for _ in range(1000):
         n = rng.randint(1, max_vertices)
         e = rng.randint(max(1, n - 1), max_edges)
-        skeleton = random_multigraph(rng, n, e, h_probability)
-        degrees = {vid: 0 for vid in skeleton.vertices}
-        for edge in skeleton.edges:
-            degrees[edge.src] += 1
-            degrees[edge.dst] += 1
-        vertices = {
-            vid: _random_piece(rng, degrees[vid], p_max, b_max) for vid in skeleton.vertices
-        }
-        g = build_graph(vertices, skeleton.edges)
+        g = _with_random_pieces(rng, random_multigraph(rng, n, e, h_probability), p_max, b_max)
         if is_valid(g):
             return g
     raise RuntimeError("failed to draw a valid graph; generator parameters too tight")
+
+
+def _with_random_pieces(rng: random.Random, skeleton: DecompositionGraph, p_max: int, b_max: int):
+    """The skeleton's edges with class-S pieces drawn for its vertex degrees."""
+    degrees = {vid: 0 for vid in skeleton.vertices}
+    for edge in skeleton.edges:
+        degrees[edge.src] += 1
+        degrees[edge.dst] += 1
+    vertices = {vid: _random_piece(rng, degrees[vid], p_max, b_max) for vid in skeleton.vertices}
+    return build_graph(vertices, skeleton.edges)
+
+
+def _shaped_h_ends(rng: random.Random, shape: str) -> tuple[int, list[tuple[int, int]]]:
+    """Vertex count and H-edge ends (as vertex indices) of one shape."""
+    if shape == "components":  # two or three H-components, one maybe doubled
+        n = rng.randint(4, 6)
+        ends = [(0, 1), (2, 3)] + ([(4, 5)] if n == 6 else [])
+        return n, ends + ([rng.choice(ends)] if rng.random() < 0.5 else [])
+    if shape == "star":  # every H-edge at one centre, one spoke maybe doubled
+        n = rng.randint(3, 5)
+        centre = rng.randrange(n)
+        leaves = rng.sample([v for v in range(n) if v != centre], rng.randint(2, n - 1))
+        ends = [(centre, leaf) for leaf in leaves]
+        return n, ends + ([rng.choice(ends)] if rng.random() < 0.5 else [])
+    if shape == "parallel":  # one H-pair met by two or three parallel H-edges
+        n = rng.randint(3, 5)
+        return n, [(0, 1)] * rng.randint(2, 3)
+    if shape == "loops":  # one or two H-loops beside at most one other H-edge
+        n = rng.randint(1, 4)
+        ends = [(v, v) for v in (rng.randrange(n) for _ in range(rng.randint(1, 2)))]
+        if n > 1 and rng.random() < 0.5:
+            ends.append(tuple(rng.sample(range(n), 2)))
+        return n, ends
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def random_shaped_graph(rng: random.Random, shape: str) -> DecompositionGraph:
+    """A random valid graph whose H-edges take the given shape: "components"
+    (two or more H-components), "star" (all at one vertex), "parallel" (many
+    optimal trees share their H-edges) or "loops" (H-loops).
+
+    The other edges are non-H: a random spanning tree plus up to two random
+    edges.  Orientations, matrix signs and the id order are random.
+    """
+    for _ in range(1000):
+        n, h_ends = _shaped_h_ends(rng, shape)
+        ends = [(u, v, random_h_matrix(rng)) for u, v in h_ends]
+        ends += [(u, v, random_normalized_matrix(rng))
+                 for u, v in _random_topology(rng, n, n - 1 + rng.randint(0, 2))]
+        rng.shuffle(ends)
+        edges = []
+        for i, (u, v, m) in enumerate(ends):
+            if rng.random() < 0.5:
+                u, v = v, u
+            edges.append(Edge(f"e{i + 1}", f"v{u + 1}", f"v{v + 1}", m))
+        skeleton = build_graph({f"v{i + 1}": SeifertData(0, (), 0) for i in range(n)}, edges)
+        g = _with_random_pieces(rng, skeleton, p_max=7, b_max=4)
+        if is_valid(g):
+            return g
+    raise RuntimeError(f"failed to draw a valid {shape} graph")

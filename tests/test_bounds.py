@@ -184,6 +184,17 @@ def test_general_assignment_cap():
     assert info.value.needed == 12  # 2^1 * 6^1 per optimal tree
 
 
+def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
+    def no_trees(*args, **kwargs):
+        raise AssertionError("optimal trees enumerated before the assignment cap was checked")
+
+    monkeypatch.setattr("gmbound.bounds.optimal_trees", no_trees)
+    for search in (bound_general, best_bound):
+        with pytest.raises(CapExceeded) as info:
+            search(parallel_h(), assignment_cap=5)
+        assert info.value.needed == 12
+
+
 # ---------------------------------------------------------------------------
 # agreement between the evaluators on their common ground
 # ---------------------------------------------------------------------------

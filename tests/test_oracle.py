@@ -13,8 +13,8 @@ from gmbound.oracle import (
     bruteforce_phi,
     verify_lemma,
 )
-from gmbound.spanning import CapExceeded, capital_phi
-from sample_graphs import h_pair, parallel_h, random_valid_graph, single_loop
+from gmbound.spanning import CapExceeded, capital_phi, iter_spanning_trees, optimal_trees, phi
+from sample_graphs import h_pair, parallel_h, random_shaped_graph, random_valid_graph, single_loop
 
 
 def test_bruteforce_phi_examples():
@@ -67,6 +67,30 @@ def test_min_f_matches_production_sweep():
         assert result.tree == production.witness_tree
         assert result.psi == production.witness_psi
         assert result.psi_prime == (production.witness_psi_prime or ())
+
+
+@pytest.mark.parametrize("shape, seed", [("components", 61), ("star", 62), ("parallel", 63), ("loops", 64)])
+def test_min_f_matches_production_on_h_shapes(shape, seed):
+    # the H-edge shapes that decide which optimal trees share their H-edges
+    rng = random.Random(seed)
+    general = shared = 0
+    for _ in range(100):
+        g = random_shaped_graph(rng, shape)
+        target = capital_phi(g)
+        if target == 0:
+            production = bound_tree(g)
+            result = bruteforce_min_f(g, "tree")
+        else:
+            general += 1
+            production = bound_general(g)
+            result = bruteforce_min_f(g, "general")
+            optimal = sum(1 for t in iter_spanning_trees(g) if phi(g, t) == target)
+            shared += optimal > len(optimal_trees(g))
+        assert result.value == production.min_penalty
+        assert result.tree == production.witness_tree
+        assert result.psi == production.witness_psi
+        assert result.psi_prime == (production.witness_psi_prime or ())
+    assert general >= 40 and shared >= 5
 
 
 def test_verify_lemma_small():
