@@ -61,62 +61,22 @@ from .spanning import (
 
 __version__ = "0.1.0"
 
+# the names the README documents and the tests and the benchmark import from
+# the package itself; every name imported above stays importable explicitly
 __all__ = [
     "BoundReport",
-    "CapExceeded",
     "DecompositionGraph",
-    "DegreeStats",
     "Edge",
-    "FareyTriangle",
     "Gl2Matrix",
-    "GraphFormatError",
-    "LemmaReport",
-    "MinFResult",
     "SeifertData",
-    "Slope",
-    "TheoremInapplicable",
-    "VertexTerms",
-    "Violation",
-    "H",
-    "IDENTITY",
-    "U",
-    "TAU_MINUS",
-    "TAU_PLUS",
-    "DEFAULT_ASSIGNMENT_CAP",
-    "DEFAULT_TREE_CAP",
-    "act",
     "best_bound",
     "bound_general",
     "bound_regular",
     "bound_tree",
-    "bruteforce_min_f",
-    "bruteforce_phi",
     "build_graph",
-    "capital_phi",
-    "cf_sum",
-    "complexity_by_search",
-    "compose",
-    "degree_stats",
-    "f",
-    "farey_distance",
     "graph_from_json",
     "graph_to_json",
     "handle_count",
-    "is_normalized",
-    "is_plus_minus_h",
-    "is_spanning_tree",
     "is_valid",
-    "iter_spanning_trees",
-    "matrix_complexity",
-    "normalize",
-    "normalize_all",
-    "normalize_edge",
-    "optimal_trees",
-    "phi",
-    "power_u",
-    "slope",
-    "triangle",
     "validate",
-    "validate_class_s",
-    "verify_lemma",
 ]

@@ -18,18 +18,28 @@ over it:
                   through T & H; signs on T & H and one of six values on
                   each H-edge left outside, paying Phi(G) for those.
 
-The search is exhaustive, capped and deterministic: ties go to the first
-labeling in enumeration order (layouts in tree order, then signs with +
-before -, then six values in PSI_PRIME_VALUES order, the last edge varying
-fastest), so reports are byte-reproducible.
+The search is exact, capped and deterministic: it returns the first
+labeling of least penalty sum in enumeration order (layouts in tree order,
+then signs with + before -, then six values in PSI_PRIME_VALUES order, the
+last edge varying fastest), so reports are byte-reproducible.  It walks
+that order depth first, one H-edge per level, keeping the penalty sum up
+to date as labels are set and undone.  At every node it holds a lower
+bound on all the labelings below it: each vertex's shortfall from its
+window, less the most that the edges still unlabeled could take off it.
+A node whose bound is >= the least sum found so far is cut.  Everything
+it cuts is at least that sum, and only a strictly smaller sum replaces
+the one found, so the result is the first minimizer of the exhaustive
+search, witnesses included.  The assignment cap counts the labelings of
+a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
+tree is enumerated.
 
-Windows always satisfy m < M, m <= 1, M >= -1 on class-S data; f checks
-this on every call instead of assuming it.
+A window must satisfy m < M, m <= 1, M >= -1, as f requires; labels only
+widen it, so each vertex is checked once, before the search, against all
+of its labeled windows at once.  Class-S data always passes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .farey import cf_sum, matrix_complexity
@@ -56,6 +66,30 @@ _PSI_PRIME_WEIGHTS = {
     "--": ((0, 2), (0, 1)),
 }
 PSI_PRIME_VALUES = tuple(_PSI_PRIME_WEIGHTS)
+
+
+def _tables(weights):
+    """The label tables of a weight map for an edge and for a loop, as the
+    search reads them.
+
+    A label takes d- off m - b and d+ off b - M at each end; on a loop both
+    ends are the one vertex.  A table is (rows, most): most holds the most
+    any label takes off source m - b, source b - M, target m - b and
+    target b - M, and a row is the label followed by what it leaves of
+    each of those four maxima.
+    """
+    tables = []
+    for loop in (False, True):
+        moves = {label: (um + vm, up + vp, 0, 0) if loop else (um, up, vm, vp)
+                 for label, ((up, um), (vp, vm)) in weights.items()}
+        most = tuple(map(max, zip(*moves.values())))
+        tables.append((tuple((label, *(x - y for x, y in zip(most, move))) for label, move in moves.items()), most))
+    return tuple(tables)
+
+
+# indexed by whether the edge is a loop
+_SIGN_TABLES = _tables(_SIGN_WEIGHTS)
+_PSI_PRIME_TABLES = _tables(_PSI_PRIME_WEIGHTS)
 
 
 class TheoremInapplicable(ValueError):
@@ -143,32 +177,87 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _search(layouts, low, high, bs, index):
+def _search(layouts, short, over, index):
     """First labeling of least penalty sum over all layouts.
 
-    A layout is (tree, signed H-edges, six-valued H-edges); low, high and bs
-    hold each vertex's window [m, M] before any label and its b, indexed as
-    in index.  Returns (per-vertex penalties, tree, psi, psi').
+    A layout is (tree, signed H-edges, six-valued H-edges); short and over
+    hold each vertex's m - b and b - M before any label, indexed as in
+    index, so its penalty is whichever of the two is positive, or 0.
+    Returns (per-vertex penalties, tree, psi, psi').
+
+    Each layout is searched depth first without recursion, one edge per
+    depth: picks[d] is the next label to try there, sums[d] the bound at
+    the node there and frames[d] its edge's ends before the label.  lack
+    and want hold short and over less the most that the edges not yet
+    labeled could still take off them, so the sum of their positive parts
+    is a lower bound for every labeling below the node, and the penalty
+    sum itself at a leaf.  A label moves only its edge's ends, so the bound
+    changes by theirs alone.  A node whose bound is >= the least sum so far
+    is cut, a layout ends at a leaf that reaches its root's bound, and the
+    search ends at a sum of 0.
     """
-    best = None
+    n = len(short)
+    best, least = None, float("inf")
     for tree, signed, outside in layouts:
-        edges = signed + outside
-        tables = [_SIGN_WEIGHTS] * len(signed) + [_PSI_PRIME_WEIGHTS] * len(outside)
-        choices = [[(label, index[e.src], index[e.dst], weights) for label, weights in table.items()]
-                   for e, table in zip(edges, tables)]
-        for labels in itertools.product(*choices):
-            m, M = low.copy(), high.copy()
-            for _, u, v, ((up, um), (vp, vm)) in labels:
-                M[u] += up
-                m[u] -= um
-                M[v] += vp
-                m[v] -= vm
-            pens = [f(lo, hi, b) for lo, hi, b in zip(m, M, bs)]
-            total = sum(pens)
-            if best is None or total < best[0]:
-                best = (total, pens, tree, edges, len(signed), labels)
-    _, pens, tree, edges, n_signed, labels = best
-    witness = tuple((e.id, label[0]) for e, label in zip(edges, labels))
+        # slot n stands in for the second end of a loop
+        lack, want, steps = short + [0], over + [0], []
+        for group, tables in ((signed, _SIGN_TABLES), (outside, _PSI_PRIME_TABLES)):
+            for e in group:
+                u, v = index[e.src], index[e.dst]
+                rows, (ul, uw, vl, vw) = tables[u == v]
+                if u == v:
+                    v = n
+                lack[u] -= ul
+                want[u] -= uw
+                lack[v] -= vl
+                want[v] -= vw
+                steps.append((u, v, rows))
+        bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
+        if bound >= least:
+            continue
+        if not steps:  # nothing to label: the root is the only leaf
+            least, best = bound, (lack, want, tree, [], 0, steps, [])
+            continue
+        picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
+        depth = 0
+        while depth >= 0:
+            if depth == len(steps):
+                least = sums[depth]
+                best = (lack.copy(), want.copy(), tree, signed + outside, len(signed), steps, picks.copy())
+                if least == sums[0]:
+                    break
+                depth -= 1
+                continue
+            u, v, rows = steps[depth]
+            j = picks[depth]
+            if j == 0:
+                lu, wu, lv, wv = lack[u], want[u], lack[v], want[v]
+                rest = sums[depth] - ((lu if lu > 0 else 0) + (wu if wu > 0 else 0)
+                                      + (lv if lv > 0 else 0) + (wv if wv > 0 else 0))
+                frames[depth] = lu, wu, lv, wv, rest
+            else:
+                lu, wu, lv, wv, rest = frames[depth]
+            if j == len(rows) or sums[depth] >= least:
+                lack[u], want[u], lack[v], want[v] = lu, wu, lv, wv
+                picks[depth] = 0
+                depth -= 1
+                continue
+            picks[depth] = j + 1
+            _, a, b, c, d = rows[j]
+            a += lu
+            b += wu
+            c += lv
+            d += wv
+            bound = rest + (a if a > 0 else 0) + (b if b > 0 else 0) + (c if c > 0 else 0) + (d if d > 0 else 0)
+            if bound < least:
+                lack[u], want[u], lack[v], want[v] = a, b, c, d
+                depth += 1
+                sums[depth] = bound
+        if not least:
+            break
+    lack, want, tree, edges, n_signed, steps, picks = best
+    pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
+    witness = tuple([(e.id, rows[p - 1][0]) for e, (_, _, rows), p in zip(edges, steps, picks)])
     return pens, tree, witness[:n_signed], witness[n_signed:]
 
 
@@ -209,27 +298,34 @@ def _bound(
 
     stats = degree_stats(g)
     index = {vid: i for i, vid in enumerate(g.vertices)}
-    low, high, bs, fixed = [], [], [], []
+    short, over, fixed = [], [], []
     for vid, s in g.vertices.items():
         r, h, st = len(s.fibres), handle_count(s), stats[vid]
-        low.append(1 - r - h - st.d_minus)
-        high.append(h + st.d_plus - 1)
-        bs.append(s.b)
-        fixed.append((3 * (st.d + r + 2 * h - 2), sum(cf_sum(p, q) - 2 for p, q in s.fibres)))
-    pens, tree, psi, psi_prime = _search(layouts, low, high, bs, index)
+        m, M, k = 1 - r - h - st.d_minus, h + st.d_plus - 1, st.d_zero
+        # f's window check on every labeled window at once: labels only widen
+        # the window, by at least one unit per H-edge end in all, and can
+        # leave either side where it is
+        if not (m < M + k and m <= 1 and M >= -1):
+            raise ValueError(f"invalid penalty window at vertex {vid!r}: m={m}, M={M} with {k} H-edge "
+                             "ends; need m < M + ends, m <= 1, M >= -1")
+        short.append(m - s.b)
+        over.append(s.b - M)
+        fixed.append((3 * (st.d + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))
+    pens, tree, psi, psi_prime = _search(layouts, short, over, index)
 
     cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
-    edge_terms = tuple((e.id, matrix_complexity(e.matrix)) for e in rest)
-    vertex_terms = tuple(
-        (vid, VertexTerms(base, fib, pen)) for vid, (base, fib), pen in zip(g.vertices, fixed, pens))
+    edge_terms = tuple([(e.id, matrix_complexity(e.matrix)) for e in rest])
+    vertex_terms = tuple([
+        (vid, VertexTerms(base, fib, pen)) for vid, (base, fib), pen in zip(g.vertices, fixed, pens)])
+    min_penalty = sum(pens)
     return BoundReport(
         theorem=theorem,
-        total=cycle + phi_value + sum(v for _, v in edge_terms) + sum(t.total for _, t in vertex_terms),
+        total=cycle + phi_value + sum([v for _, v in edge_terms]) + sum(map(sum, fixed)) + min_penalty,
         cycle_term=cycle,
         phi_term=phi_value,
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
-        min_penalty=sum(pens),
+        min_penalty=min_penalty,
         witness_tree=tree,
         witness_psi=None if theorem == "regular" else psi,
         witness_psi_prime=psi_prime if theorem == "general" else None,

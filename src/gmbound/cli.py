@@ -256,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trees", type=_cap, default=None,
                    help="cap on optimal trees (one per set of tree H-edges)")
     p.add_argument("--max-assignments", type=_cap, default=None,
-                   help="cap on sign assignments per tree (also MC_MAX_ASSIGNMENTS)")
+                   help="cap on the unpruned labeling search per set of tree H-edges, "
+                        "2^(|H|-Phi) * 6^Phi, checked before searching (also MC_MAX_ASSIGNMENTS)")
     p.add_argument("--normalize-first", action="store_true",
                    help="normalize edge matrices (shifting b parameters) before validating")
     p.set_defaults(func=cmd_bound)

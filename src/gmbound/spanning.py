@@ -56,35 +56,65 @@ def _grow(parent: list[int], links) -> list[str]:
     return added
 
 
+def _join(parent: list[int], links, chosen: list[str], roots: list[int]) -> int:
+    """Add links in order while each joins two components of the union-find
+    parent, appending its id to chosen and the root it re-pointed to roots;
+    return how many were added."""
+    for count, (eid, u, v) in enumerate(links):
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            return count
+        parent[ru] = rv
+        chosen.append(eid)
+        roots.append(ru)
+    return len(links)
+
+
 def _forests(n: int, links, need: int, cap: int, what: str) -> Iterator[tuple[str, ...]]:
     """Every acyclic need-subset of links as a tuple of ids, in lexicographic
     order of link positions.
 
-    Backtracks over an explicit stack of (next link, union-find, chosen)
-    frames instead of recursing, so deep graphs stay within Python's
+    Backtracks over one union-find, undoing each union on the way back, and
+    keeps the next link to try at each depth on an explicit stack instead of
+    recursing: memory is O(n + need), and deep graphs stay within Python's
     recursion limit.  Raises CapExceeded once more than cap subsets have
     been produced, so a capped caller never sees a silently truncated list.
     """
     emitted = 0
-    stack = [(0, list(range(n)), ())]
-    while stack:
-        start, parent, chosen = stack.pop()
-        short = need - len(chosen)
-        if short == 0 or start + short == len(links):
+    parent = list(range(n))
+    chosen, roots = [], []  # ids of the links taken, and the root each one re-pointed
+    nexts = [0]  # the next link to try at each depth
+    while nexts:
+        depth = len(nexts) - 1
+        i, short = nexts[-1], need - depth
+        if short == 0 or i + short == len(links):
             # no choice is left: the remaining links must all join
-            added = _grow(parent, links[start:start + short])
-            if len(added) == short:
+            if _join(parent, links[i:i + short], chosen, roots) == short:
                 emitted += 1
                 if emitted > cap:
                     raise CapExceeded(f"more than {cap} {what}")
-                yield chosen + tuple(added)
-            continue
-        children = []
-        for i in range(start, len(links) - short + 1):
-            merged = parent.copy()
-            if _grow(merged, links[i:i + 1]):
-                children.append((i + 1, merged, chosen + (links[i][0],)))
-        stack.extend(reversed(children))
+                yield tuple(chosen)
+        else:
+            # take the next link that joins two components, one depth down
+            while i + short <= len(links):
+                eid, u, v = links[i]
+                i += 1
+                ru, rv = _find(parent, u), _find(parent, v)
+                if ru != rv:
+                    parent[ru] = rv
+                    chosen.append(eid)
+                    roots.append(ru)
+                    nexts[-1] = i
+                    nexts.append(i)
+                    break
+            if len(chosen) > depth:
+                continue
+        # leave this depth, undoing what was joined since the link that led to it
+        nexts.pop()
+        keep = max(depth - 1, 0)
+        for root in roots[keep:]:
+            parent[root] = root
+        del chosen[keep:], roots[keep:]
 
 
 def iter_spanning_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, ...]]:

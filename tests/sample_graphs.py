@@ -246,3 +246,42 @@ def random_shaped_graph(rng: random.Random, shape: str) -> DecompositionGraph:
         if is_valid(g):
             return g
     raise RuntimeError(f"failed to draw a valid {shape} graph")
+
+
+def random_penalized_graph(rng: random.Random, n: int, forest: int, closing: int, b_max: int = 6) -> DecompositionGraph:
+    """A random valid graph on n vertices with forest + closing H-edges, so
+    that Phi = closing, and b drawn from [-b_max, b_max], wide enough that
+    many vertices pay a penalty under every labeling.
+
+    forest of the n - 1 edges of a random spanning tree are H-edges; each
+    closing H-edge joins two vertices of one H-component, or is a loop.
+    The other tree edges and up to two random extra edges are non-H.
+    Orientations, matrix signs and the id order are random.
+    """
+    for _ in range(1000):
+        tree = _random_topology(rng, n, n - 1)
+        h_tree = set(rng.sample(range(n - 1), forest))
+        component = list(range(n))
+        for i in sorted(h_tree):
+            u, v = tree[i]
+            old, new = component[u], component[v]
+            component = [new if c == old else c for c in component]
+        ends = [(u, v, random_h_matrix(rng) if i in h_tree else random_normalized_matrix(rng))
+                for i, (u, v) in enumerate(tree)]
+        for _ in range(closing):
+            u = rng.randrange(n)
+            v = rng.choice([w for w in range(n) if component[w] == component[u]])
+            ends.append((u, v, random_h_matrix(rng)))
+        ends += [(rng.randrange(n), rng.randrange(n), random_normalized_matrix(rng))
+                 for _ in range(rng.randint(0, 2))]
+        rng.shuffle(ends)
+        edges = []
+        for i, (u, v, m) in enumerate(ends):
+            if rng.random() < 0.5:
+                u, v = v, u
+            edges.append(Edge(f"e{i + 1}", f"v{u + 1}", f"v{v + 1}", m))
+        skeleton = build_graph({f"v{i + 1}": SeifertData(0, (), 0) for i in range(n)}, edges)
+        g = _with_random_pieces(rng, skeleton, p_max=7, b_max=b_max)
+        if is_valid(g):
+            return g
+    raise RuntimeError("failed to draw a valid penalized graph")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from gmbound.bounds import (
     bound_tree,
     f,
 )
-from gmbound.gl2 import compose, power_u
-from gmbound.graph import build_graph, degree_stats as _stats, graph_from_json, normalize_all
+from gmbound.gl2 import H, Gl2Matrix, compose, power_u
+from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, normalize_all
+from gmbound.oracle import bruteforce_min_f
 from gmbound.spanning import CapExceeded, capital_phi
 from sample_graphs import (
     h_pair,
@@ -67,6 +69,54 @@ def test_f_rejects_bad_windows():
         f(2, 3, 0)  # m > 1
     with pytest.raises(ValueError):
         f(-3, -2, 0)  # M < -1
+
+
+def test_invalid_labeled_windows_are_rejected():
+    # v2 has no fibres and one H-edge end: every sign leaves m >= M there
+    leaf = build_graph(
+        {"v1": SeifertData(0, ((2, 1), (2, 1)), 0), "v2": SeifertData(0, (), 0)},
+        [Edge("e1", "v1", "v2", H)],
+    )
+    for evaluate in (best_bound, bound_tree, bound_general):
+        with pytest.raises(ValueError, match="invalid penalty window"):
+            evaluate(leaf)
+    # a bare H-loop: ++ leaves a valid window, +- does not
+    loop = build_graph({"v1": SeifertData(0, (), 0)}, [Edge("e1", "v1", "v1", H)])
+    for evaluate in (best_bound, bound_general):
+        with pytest.raises(ValueError, match="invalid penalty window"):
+            evaluate(loop)
+
+
+def test_vertices_with_only_h_edges_may_start_from_an_empty_window():
+    # m = M before any label, at -1 (two fibres) and at 0 (one handle); each
+    # label widens it, so every labeled window is valid
+    for piece in (SeifertData(0, ((2, 1), (2, 1)), 0), SeifertData(-1, (), 1)):
+        g = build_graph({"v1": piece, "v2": piece}, [Edge("e1", "v1", "v2", H)])
+        stats = _stats(g)["v1"]
+        assert stats.d_plus == stats.d_minus == 0
+        for evaluate, mode in ((best_bound, "tree"), (bound_general, "general")):
+            report = evaluate(g)
+            expected = bruteforce_min_f(g, mode)
+            assert report.min_penalty == expected.value
+            assert report.witness_psi == expected.psi
+
+
+def test_disjoint_h_edges_are_searched_fast():
+    # 16 H-edges, each between two pieces of its own, in a chain: 2^16 sign
+    # assignments, which the exhaustive loop scored one by one in 0.3 s
+    rng = random.Random(16)
+    ids = [f"v{i:02d}" for i in range(32)]
+    vertices = {vid: SeifertData(0, ((2, 1), (3, 1)), rng.randint(-4, 4)) for vid in ids}
+    edges = [Edge(f"e{i:02d}", ids[i], ids[i + 1], H if i % 2 == 0 else Gl2Matrix(1, 2, 1, 1))
+             for i in range(31)]
+    g = build_graph(vertices, edges)
+    start = time.perf_counter()
+    report = best_bound(g)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.1
+    assert report.theorem == "tree"
+    assert report.min_penalty == 30
+    assert len(report.witness_psi) == 16
 
 
 # ---------------------------------------------------------------------------

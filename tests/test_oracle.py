@@ -1,20 +1,30 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from gmbound.bounds import bound_general, bound_tree
-from gmbound.gl2 import Gl2Matrix
+from gmbound.gl2 import Gl2Matrix, is_plus_minus_h
 from gmbound.oracle import (
     LemmaFailure,
     LemmaReport,
+    _sign_extras,
+    _window_penalty_sum,
     bruteforce_min_f,
     bruteforce_phi,
     verify_lemma,
 )
 from gmbound.spanning import CapExceeded, capital_phi, iter_spanning_trees, optimal_trees, phi
-from sample_graphs import h_pair, parallel_h, random_shaped_graph, random_valid_graph, single_loop
+from sample_graphs import (
+    h_pair,
+    parallel_h,
+    random_penalized_graph,
+    random_shaped_graph,
+    random_valid_graph,
+    single_loop,
+)
 
 
 def test_bruteforce_phi_examples():
@@ -91,6 +101,45 @@ def test_min_f_matches_production_on_h_shapes(shape, seed):
         assert result.psi == production.witness_psi
         assert result.psi_prime == (production.witness_psi_prime or ())
     assert general >= 40 and shared >= 5
+
+
+# (vertices, H-forest edges, closing H-edges = Phi) of the general-mode draws
+_PENALIZED_GENERAL = [(2, 1, 1), (2, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 3), (4, 3, 1), (4, 2, 2), (4, 3, 2)]
+
+
+def _sign_minimizers(g, value):
+    """Number of sign assignments on the H-edges whose penalty sum is value,
+    counted the oracle's way."""
+    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
+    return sum(_window_penalty_sum(g, *_sign_extras(h_edges, signs)) == value
+               for signs in itertools.product("+-", repeat=len(h_edges)))
+
+
+def test_min_f_matches_production_where_the_search_prunes():
+    # b drawn wide, so most minima are positive and the search cuts on real
+    # bounds instead of stopping at a first labeling of sum 0
+    rng = random.Random(65)
+    sizes = [6] * 35 + [7] * 35 + [8] * 35 + [9] * 20 + [10, 11, 12]
+    cases = [(h + 1, h, 0) for h in sizes] + [_PENALIZED_GENERAL[i % 8] for i in range(172)]
+    positive = tied = 0
+    for n, forest, closing in cases:
+        g = random_penalized_graph(rng, n, forest, closing)
+        assert capital_phi(g) == closing
+        if closing:
+            production = bound_general(g)
+            result = bruteforce_min_f(g, "general")
+        else:
+            production = bound_tree(g)
+            result = bruteforce_min_f(g, "tree")
+            if forest == 6:
+                tied += _sign_minimizers(g, result.value) > 1
+        assert result.value == production.min_penalty
+        assert result.tree == production.witness_tree
+        assert result.psi == production.witness_psi
+        assert result.psi_prime == (production.witness_psi_prime or ())
+        positive += result.value >= 2
+    assert 3 * positive >= len(cases)
+    assert tied >= 10  # the first of several minimizers is the witness
 
 
 def test_verify_lemma_small():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,19 @@ def test_deep_graphs_need_no_recursion():
     assert report.theorem == "general"
     assert is_spanning_tree(g, report.witness_tree)
     assert phi(g, report.witness_tree) == capital_phi(g) == 1
+
+
+def test_tree_enumeration_memory_does_not_grow_with_depth():
+    # a copy of the union-find per stack frame peaked at about 26 MB on this cycle
+    g = _cycle(1500)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in iter_spanning_trees(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1500
+    assert peak < 4 * 2**20
 
 
 def test_capital_phi_greedy_matches_bruteforce_sweep():
