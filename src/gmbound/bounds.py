@@ -116,7 +116,7 @@ def f(m: int, M: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexTerms:
     """Per-vertex summands: 3(d + r + 2h - 2), fibre sum, window penalty."""
 
@@ -129,7 +129,7 @@ class VertexTerms:
         return self.base + self.fibre_sum + self.penalty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """A bound together with its full term breakdown and witnesses.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gl2Matrix:
     """Row-major integer matrix (alpha beta / gamma delta), determinant +1 or -1."""
 

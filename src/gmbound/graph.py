@@ -9,8 +9,24 @@ matrix by its (re-normalized) inverse.
 
 Edges with matrix +-H play a special role in the bound evaluators and are
 referred to as H-edges throughout; degree_stats splits vertex degrees
-accordingly.  The JSON document format accepted here is strict: integer
-entries only, no unknown keys, unique non-empty ids.
+accordingly.
+
+Each check runs in one place:
+
+  graph_from_json  the document format, which is strict: valid JSON,
+                   integer entries only (no fractions, NaN or booleans),
+                   exactly the known keys, non-empty string ids, unique
+                   vertex ids, fibres as [p, q] pairs, 2x2 matrices;
+  Gl2Matrix        determinant +1 or -1, on construction;
+  build_graph      non-empty string ids, unique edge ids, endpoints that
+                   exist;
+  validate         admissibility: at least one edge, connected, every edge
+                   label of determinant -1 with beta != 0 and normalized,
+                   well-formed fibres, class S for the vertex degree, and
+                   the small-graph exclusions (i) and (ii)(a)-(c);
+  gl2.normalize    a determinant -1 label with beta != 0 on input, and a
+                   normalized label on output, for normalize_edge and
+                   normalize_all.
 """
 
 from __future__ import annotations
@@ -30,7 +46,7 @@ class GraphFormatError(ValueError):
     """The document does not parse as a decomposition graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: str
     src: str
@@ -42,7 +58,7 @@ class Edge:
         return self.src == self.dst
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompositionGraph:
     """Vertices keyed by id plus an id-sorted tuple of edges; immutable."""
 
@@ -79,7 +95,7 @@ def build_graph(vertices: dict[str, SeifertData], edges) -> DecompositionGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DegreeStats:
     """Degree split at a vertex: d = d_plus + d_minus + d_zero.
 
@@ -138,7 +154,7 @@ def _connected(g: DecompositionGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     clause: str
     subject: str
@@ -184,8 +200,9 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:
-        if e.matrix.det != -1:
-            out.append(Violation("normalization", e.id, f"matrix determinant must be -1, got {e.matrix.det}"))
+        det = e.matrix.det
+        if det != -1:
+            out.append(Violation("normalization", e.id, f"matrix determinant must be -1, got {det}"))
         elif e.matrix.beta == 0:
             out.append(Violation(
                 "normalization", e.id,
@@ -195,7 +212,10 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         if e.is_loop:
             out.append(Violation("loops", e.id, "loop edge (admitted; never part of a spanning tree)", "note"))
 
-    degrees = {vid: st.d for vid, st in degree_stats(g).items()}
+    degrees = dict.fromkeys(g.vertices, 0)
+    for e in g.edges:
+        degrees[e.src] += 1
+        degrees[e.dst] += 1
     for vid, s in g.vertices.items():
         for msg in fibre_problems(s):
             out.append(Violation("seifert-data", vid, msg))
@@ -206,7 +226,7 @@ def validate(g: DecompositionGraph) -> list[Violation]:
     for e in g.edges:
         if not is_plus_minus_h(e.matrix):
             continue
-        for vid in {e.src, e.dst}:
+        for vid in (e.src,) if e.is_loop else (e.src, e.dst):
             s = g.vertices[vid]
             if _is_two_half_fibred_disk(s) and s.b == -1 and degrees[vid] == 1:
                 out.append(Violation(
@@ -243,7 +263,7 @@ def is_valid(g: DecompositionGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeMove:
     """Record of the normalization moves applied to one edge."""
 
@@ -289,7 +309,8 @@ def normalize_all(g: DecompositionGraph) -> tuple[DecompositionGraph, list[EdgeM
         shift[e.dst] -= h
         edges.append(Edge(e.id, e.src, e.dst, new_matrix))
         moves.append(EdgeMove(e.id, k, h))
-    vertices = {vid: replace(s, b=s.b + shift[vid]) for vid, s in g.vertices.items()}
+    vertices = {vid: SeifertData(s.g, s.fibres, s.b + shift[vid]) if shift[vid] else s
+                for vid, s in g.vertices.items()}
     return DecompositionGraph(vertices, tuple(edges)), moves
 
 
@@ -303,6 +324,10 @@ _EDGE_KEYS = {"id", "from", "to", "matrix"}
 
 def _reject_float(text: str):
     raise GraphFormatError(f"fractional or non-finite numbers are not allowed: {text}")
+
+
+# built once: json.loads builds a new decoder on every call given parse_float
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
 
 
 def _as_int(value, where: str) -> int:
@@ -335,9 +360,16 @@ def graph_from_json(text: str) -> DecompositionGraph:
     integers beyond Python's digit limit, nesting too deep to decode,
     duplicate ids, dangling endpoint references, matrices outside GL2(Z))
     raise GraphFormatError; admissibility problems are left to validate().
+
+    Each value is first matched against the exact type the decoder gives a
+    well-formed document; any other value goes to the check that names the
+    problem, so no error message is built for a document that parses.
     """
     try:
-        doc = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        if type(text) is str and not text.startswith("\ufeff"):
+            doc = _DECODER.decode(text)
+        else:  # json.loads decodes bytes and refuses a byte order mark first
+            doc = json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except GraphFormatError:
         raise
     except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
@@ -349,8 +381,11 @@ def graph_from_json(text: str) -> DecompositionGraph:
 
     vertices: dict[str, SeifertData] = {}
     for item in doc["vertices"]:
-        _check_keys(item, _VERTEX_KEYS, "vertex")
-        vid = _as_str(item["id"], "vertex id")
+        if type(item) is not dict or item.keys() != _VERTEX_KEYS:
+            _check_keys(item, _VERTEX_KEYS, "vertex")
+        vid = item["id"]
+        if type(vid) is not str or not vid:
+            vid = _as_str(vid, "vertex id")
         if vid in vertices:
             raise GraphFormatError(f"duplicate vertex id {vid!r}")
         raw = item["fibres"]
@@ -360,31 +395,45 @@ def graph_from_json(text: str) -> DecompositionGraph:
         for pair in raw:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise GraphFormatError(f"vertex {vid!r}: each fibre must be a pair [p, q]")
-            fibres.append((
-                _as_int(pair[0], f"vertex {vid!r} fibre p"),
-                _as_int(pair[1], f"vertex {vid!r} fibre q"),
-            ))
-        vertices[vid] = SeifertData(
-            _as_int(item["g"], f"vertex {vid!r} genus"),
-            tuple(fibres),
-            _as_int(item["b"], f"vertex {vid!r} parameter b"),
-        )
+            p, q = pair
+            if type(p) is not int:
+                p = _as_int(p, f"vertex {vid!r} fibre p")
+            if type(q) is not int:
+                q = _as_int(q, f"vertex {vid!r} fibre q")
+            fibres.append((p, q))
+        genus, b = item["g"], item["b"]
+        if type(genus) is not int:
+            genus = _as_int(genus, f"vertex {vid!r} genus")
+        if type(b) is not int:
+            b = _as_int(b, f"vertex {vid!r} parameter b")
+        vertices[vid] = SeifertData(genus, tuple(fibres), b)
 
     edges = []
     for item in doc["edges"]:
-        _check_keys(item, _EDGE_KEYS, "edge")
-        eid = _as_str(item["id"], "edge id")
+        if type(item) is not dict or item.keys() != _EDGE_KEYS:
+            _check_keys(item, _EDGE_KEYS, "edge")
+        eid = item["id"]
+        if type(eid) is not str or not eid:
+            eid = _as_str(eid, "edge id")
         rows = item["matrix"]
         if (not isinstance(rows, list) or len(rows) != 2
-                or any(not isinstance(r, list) or len(r) != 2 for r in rows)):
+                or not isinstance(rows[0], list) or len(rows[0]) != 2
+                or not isinstance(rows[1], list) or len(rows[1]) != 2):
             raise GraphFormatError(f"edge {eid!r}: matrix must be a 2x2 array")
-        entries = [_as_int(x, f"edge {eid!r} matrix entry") for row in rows for x in row]
+        entries = rows[0] + rows[1]
+        if not (type(entries[0]) is int and type(entries[1]) is int
+                and type(entries[2]) is int and type(entries[3]) is int):
+            entries = [_as_int(x, f"edge {eid!r} matrix entry") for x in entries]
         try:
             matrix = Gl2Matrix(*entries)
         except ValueError as exc:
             raise GraphFormatError(f"edge {eid!r}: {exc}") from exc
-        edges.append(Edge(eid, _as_str(item["from"], "edge source"),
-                          _as_str(item["to"], "edge target"), matrix))
+        src, dst = item["from"], item["to"]
+        if type(src) is not str or not src:
+            src = _as_str(src, "edge source")
+        if type(dst) is not str or not dst:
+            dst = _as_str(dst, "edge target")
+        edges.append(Edge(eid, src, dst, matrix))
 
     return build_graph(vertices, edges)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeifertData:
     """Vertex label (g, fibres, b); fibres is a tuple of (p, q) pairs."""
 

@@ -83,6 +83,25 @@ def test_validate_invalid():
     assert result.stdout.startswith("(ii)(a) e1:")
 
 
+def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
+    # an H-edge between two degree-1 (0,1,(2,1),(2,1),-1) pieces breaks (i) at both ends
+    piece = {"g": 0, "fibres": [[2, 1], [2, 1]], "b": -1}
+    path = tmp_path / "half_disks.json"
+    path.write_text(json.dumps({
+        "vertices": [dict(piece, id="a"), dict(piece, id="b")],
+        "edges": [{"id": "e1", "from": "a", "to": "b", "matrix": [[0, 1], [1, 0]]}],
+    }))
+    outputs = set()
+    for seed in range(8):
+        result = run_cli("validate", str(path), env_extra={"PYTHONHASHSEED": str(seed)})
+        assert result.returncode == 1
+        outputs.add(result.stdout)
+    assert outputs == {
+        "(i) e1: +-H gluing touches vertex a, a (0,1,(2,1),(2,1),-1) piece\n"
+        "(i) e1: +-H gluing touches vertex b, a (0,1,(2,1),(2,1),-1) piece\n"
+    }
+
+
 def test_validate_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -365,6 +365,94 @@ def test_json_rejects_malformed():
             graph_from_json(json.dumps(variant))
 
 
+_WELL_FORMED = {
+    "vertices": [{"id": "v1", "g": 1, "fibres": [[3, 1]], "b": 0}],
+    "edges": [{"id": "e1", "from": "v1", "to": "v1", "matrix": [[0, 1], [1, 0]]}],
+}
+
+
+def _edited(edit) -> str:
+    """The well-formed document after edit(document, its vertex, its edge)."""
+    doc = json.loads(json.dumps(_WELL_FORMED))
+    edit(doc, doc["vertices"][0], doc["edges"][0])
+    return json.dumps(doc)
+
+
+# the exact message of every malformed shape, each a single defect in an
+# otherwise well-formed document
+MALFORMED = [
+    ("invalid_json", "{not json",
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("trailing_data", json.dumps(_WELL_FORMED) + " []", "invalid JSON: Extra data: line 1 column 145 (char 144)"),
+    ("byte_order_mark", "﻿" + json.dumps(_WELL_FORMED),
+     "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ("top_level_array", "[]", "document must be an object"),
+    ("float", _edited(lambda d, v, e: v.update(g=1.5)), "fractional or non-finite numbers are not allowed: 1.5"),
+    ("nan", _edited(lambda d, v, e: v.update(b=float("nan"))),
+     "fractional or non-finite numbers are not allowed: NaN"),
+    ("infinity", _edited(lambda d, v, e: e.update(matrix=[[float("-inf"), 1], [1, 0]])),
+     "fractional or non-finite numbers are not allowed: -Infinity"),
+    ("bool_genus", _edited(lambda d, v, e: v.update(g=True)), "vertex 'v1' genus must be an integer, got True"),
+    ("bool_b", _edited(lambda d, v, e: v.update(b=False)), "vertex 'v1' parameter b must be an integer, got False"),
+    ("bool_fibre_p", _edited(lambda d, v, e: v.update(fibres=[[True, 1]])),
+     "vertex 'v1' fibre p must be an integer, got True"),
+    ("bool_fibre_q", _edited(lambda d, v, e: v.update(fibres=[[3, True]])),
+     "vertex 'v1' fibre q must be an integer, got True"),
+    ("bool_matrix_entry", _edited(lambda d, v, e: e.update(matrix=[[0, 1], [True, 0]])),
+     "edge 'e1' matrix entry must be an integer, got True"),
+    ("string_genus", _edited(lambda d, v, e: v.update(g="1")), "vertex 'v1' genus must be an integer, got '1'"),
+    ("null_b", _edited(lambda d, v, e: v.update(b=None)), "vertex 'v1' parameter b must be an integer, got None"),
+    ("fibre_checked_before_genus", _edited(lambda d, v, e: v.update(g=None, fibres=[[3, "1"]])),
+     "vertex 'v1' fibre q must be an integer, got '1'"),
+    ("non_ascii_id", _edited(lambda d, v, e: (v.update(id="vé", g=True), e.update({"from": "vé", "to": "vé"}))),
+     "vertex 'vé' genus must be an integer, got True"),
+    ("unknown_vertex_key", _edited(lambda d, v, e: v.update(colour="red")), "vertex has unknown keys: ['colour']"),
+    ("missing_vertex_key", _edited(lambda d, v, e: v.pop("b")), "vertex is missing keys: ['b']"),
+    ("unknown_edge_key", _edited(lambda d, v, e: e.update(weight=1)), "edge has unknown keys: ['weight']"),
+    ("missing_edge_key", _edited(lambda d, v, e: e.pop("matrix")), "edge is missing keys: ['matrix']"),
+    ("unknown_document_key", _edited(lambda d, v, e: d.update(name="x")), "document has unknown keys: ['name']"),
+    ("missing_document_key", _edited(lambda d, v, e: d.pop("edges")), "document is missing keys: ['edges']"),
+    ("non_object_vertex", _edited(lambda d, v, e: d.update(vertices=[["v1"]])), "vertex must be an object"),
+    ("non_object_edge", _edited(lambda d, v, e: d.update(edges=["e1"])), "edge must be an object"),
+    ("non_array_vertices", _edited(lambda d, v, e: d.update(vertices={})), "'vertices' and 'edges' must be arrays"),
+    ("non_array_fibres", _edited(lambda d, v, e: v.update(fibres=3)), "vertex 'v1': fibres must be an array"),
+    ("fibre_of_length_3", _edited(lambda d, v, e: v.update(fibres=[[3, 1, 1]])),
+     "vertex 'v1': each fibre must be a pair [p, q]"),
+    ("fibre_not_array", _edited(lambda d, v, e: v.update(fibres=[3])), "vertex 'v1': each fibre must be a pair [p, q]"),
+    ("empty_vertex_id", _edited(lambda d, v, e: v.update(id="")), "vertex id must be a non-empty string, got ''"),
+    ("non_string_vertex_id", _edited(lambda d, v, e: v.update(id=1)), "vertex id must be a non-empty string, got 1"),
+    ("empty_edge_id", _edited(lambda d, v, e: e.update(id="")), "edge id must be a non-empty string, got ''"),
+    ("non_string_edge_id", _edited(lambda d, v, e: e.update(id=["e1"])),
+     "edge id must be a non-empty string, got ['e1']"),
+    ("empty_source", _edited(lambda d, v, e: e.update({"from": ""})), "edge source must be a non-empty string, got ''"),
+    ("non_string_target", _edited(lambda d, v, e: e.update(to=None)),
+     "edge target must be a non-empty string, got None"),
+    ("three_row_matrix", _edited(lambda d, v, e: e.update(matrix=[[0, 1], [1, 0], [0, 0]])),
+     "edge 'e1': matrix must be a 2x2 array"),
+    ("three_column_row", _edited(lambda d, v, e: e.update(matrix=[[0, 1, 0], [1, 0]])),
+     "edge 'e1': matrix must be a 2x2 array"),
+    ("non_array_matrix", _edited(lambda d, v, e: e.update(matrix=1)), "edge 'e1': matrix must be a 2x2 array"),
+    ("non_array_row", _edited(lambda d, v, e: e.update(matrix=[[0, 1], 1])), "edge 'e1': matrix must be a 2x2 array"),
+    ("determinant_zero", _edited(lambda d, v, e: e.update(matrix=[[1, 1], [1, 1]])),
+     "edge 'e1': determinant must be +1 or -1, got 0"),
+    ("dangling_endpoint", _edited(lambda d, v, e: e.update(to="v2")), "edge 'e1' references unknown vertex 'v2'"),
+    ("duplicate_vertex_id", _edited(lambda d, v, e: d["vertices"].append(dict(v))), "duplicate vertex id 'v1'"),
+    ("duplicate_edge_id", _edited(lambda d, v, e: d["edges"].append(dict(e))), "duplicate edge id 'e1'"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_json_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as raised:
+        graph_from_json(text)
+    assert str(raised.value) == message
+
+
+def test_json_accepts_bytes_like_json_loads():
+    text = json.dumps(_WELL_FORMED)
+    assert graph_from_json(text.encode("utf-16")) == graph_from_json(text)
+
+
 def test_json_accepts_non_normalized_edges():
     # parsing is a format check; normalization is a validation concern
     g = graph_from_json(
