@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .farey import cf_sum, matrix_complexity
-from .gl2 import is_plus_minus_h
+from .gl2 import int_text, is_plus_minus_h
 from .graph import DecompositionGraph, degree_stats
 from .seifert import handle_count
 from .spanning import CapExceeded, capital_phi, optimal_trees, DEFAULT_TREE_CAP
@@ -215,9 +215,6 @@ def _search(layouts, short, over, index):
         bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
         if bound >= least:
             continue
-        if not steps:  # nothing to label: the root is the only leaf
-            least, best = bound, (lack, want, tree, [], 0, steps, [])
-            continue
         picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
         depth = 0
         while depth >= 0:
@@ -286,7 +283,8 @@ def _bound(
     count = 2 ** (len(h_edges) - phi_value) * 6 ** phi_value
     if theorem != "regular" and count > assignment_cap:
         raise CapExceeded(
-            f"assignment search needs {count} > cap {assignment_cap} assignments", needed=count)
+            f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
+            needed=count)
     if theorem == "general":
         layouts = []
         for tree in optimal_trees(g, cap=tree_cap):

@@ -12,13 +12,26 @@ result because the same moves shift the integer parameters b of the Seifert
 pieces glued along the edge (see graph.normalize_edge for one edge and
 graph.normalize_all for a whole graph).
 
-All arithmetic is plain Python integer arithmetic, so it is exact at any
-magnitude.
+This module alone decides whether a label keeps that contract and words
+each way it can break it (_check_edge_label); graph.validate reports the
+error of is_normalized as it is.  All arithmetic is plain Python integer
+arithmetic, so it is exact at any magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def int_text(n: int) -> str:
+    """n in decimal up to 100 digits, else its sign and length: Python will
+    not print an int of over 4300 digits (by default; 640 at the least)."""
+    if abs(n) < 10**100:
+        return str(n)
+    k = int(math.log10(abs(n)))  # one less than the length, or one off from that
+    k += (10 ** (k + 1) <= abs(n)) - (10**k > abs(n))
+    return f"a {'negative ' if n < 0 else ''}{k + 1}-digit number"
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,7 +46,7 @@ class Gl2Matrix:
     def __post_init__(self) -> None:
         d = self.alpha * self.delta - self.beta * self.gamma
         if d not in (1, -1):
-            raise ValueError(f"determinant must be +1 or -1, got {d}")
+            raise ValueError(f"determinant must be +1 or -1, got {int_text(d)}")
 
     @property
     def det(self) -> int:
@@ -77,14 +90,16 @@ def is_plus_minus_h(a: Gl2Matrix) -> bool:
 
 
 def _check_edge_label(a: Gl2Matrix) -> None:
+    """Raise ValueError naming how a breaks the label contract, if it does."""
     if a.det != -1:
-        raise ValueError(f"edge label must have determinant -1, got {a.det}")
+        raise ValueError(f"matrix determinant must be -1, got {a.det}")
     if a.beta == 0:
-        raise ValueError("edge label must have beta != 0 (non-minimal decomposition otherwise)")
+        raise ValueError("matrix has beta = 0: the gluing matches fibres, so the decomposition is non-minimal")
 
 
 def is_normalized(a: Gl2Matrix) -> bool:
-    """Whether the window conditions hold; rejects det != -1 or beta = 0 inputs."""
+    """Whether the window conditions hold; rejects det != -1 or beta = 0
+    inputs with the ValueError that graph.validate reports."""
     _check_edge_label(a)
     eps = 1 if a.beta > 0 else -1
     bound = abs(a.beta)
@@ -104,12 +119,15 @@ def normalize(a: Gl2Matrix) -> tuple[Gl2Matrix, int, int]:
     So a_normalized = (alpha', beta / gamma + k*delta + h*alpha',
     delta + h*beta).  Already-normalized input comes back unchanged with
     k = h = 0, and beta itself is never changed.
+
+    The window holds by construction, so only the input is checked:
+    alpha' = alpha - beta*floor(alpha / beta) is alpha mod beta, which lies
+    between 0 and beta with the sign eps of beta, and delta' is delta mod
+    beta in the same way, which is exactly 0 <= eps*alpha', eps*delta' <
+    |beta|; U^h and U^k have determinant 1, so the determinant stays -1.
     """
     _check_edge_label(a)
     k = -(a.alpha // a.beta)
     h = -(a.delta // a.beta)
     alpha = a.alpha + k * a.beta
-    out = Gl2Matrix(alpha, a.beta, a.gamma + k * a.delta + h * alpha, a.delta + h * a.beta)
-    if not is_normalized(out):
-        raise RuntimeError(f"normalization failed for {a}; this is a bug")
-    return out, k, h
+    return Gl2Matrix(alpha, a.beta, a.gamma + k * a.delta + h * alpha, a.delta + h * a.beta), k, h

@@ -20,19 +20,23 @@ Each check runs in one place:
   Gl2Matrix        determinant +1 or -1, on construction;
   build_graph      non-empty string ids, unique edge ids, endpoints that
                    exist;
+  gl2              the label contract, decided and worded there alone:
+                   determinant -1, beta != 0 and the window (is_normalized);
+                   normalize checks the first two on its input only, as its
+                   output is normalized by construction, and normalize_all
+                   (behind normalize_edge too) puts the edge id in front of
+                   its errors;
   validate         admissibility: at least one edge, connected, every edge
-                   label of determinant -1 with beta != 0 and normalized,
-                   well-formed fibres, class S for the vertex degree, and
-                   the small-graph exclusions (i) and (ii)(a)-(c);
-  gl2.normalize    a determinant -1 label with beta != 0 on input, and a
-                   normalized label on output, for normalize_edge and
-                   normalize_all.
+                   label normalized (one is_normalized call each, whose
+                   error becomes the violation), well-formed fibres, class S
+                   for the vertex degree, and the small-graph exclusions (i)
+                   and (ii)(a)-(c).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gl2 import Gl2Matrix, is_normalized, is_plus_minus_h, normalize
 from .seifert import SeifertData, fibre_problems, validate_class_s
@@ -167,20 +171,14 @@ def _is_two_half_fibred_disk(s: SeifertData) -> bool:
     return s.g == 0 and s.fibres == ((2, 1), (2, 1))
 
 
-def _matches_shifted_h(m: Gl2Matrix) -> int | None:
-    """beta if m = +-(1 beta / 1 beta-1) for some beta > 1, else None."""
-    for cand in (m, -m):
-        if cand.beta > 1 and cand.alpha == 1 and cand.gamma == 1 and cand.delta == cand.beta - 1:
-            return cand.beta
-    return None
+def _matches_shifted_h(m: Gl2Matrix) -> bool:
+    """Whether m = +-(1 beta / 1 beta-1) for some beta > 1; the sign is alpha."""
+    return m.alpha == m.gamma in (1, -1) and m.alpha * m.beta > 1 and m.delta == m.beta - m.alpha
 
 
-def _matches_shifted_h_transposed(m: Gl2Matrix) -> int | None:
-    """beta if m = +-(beta-1 beta / 1 1) for some beta > 1, else None."""
-    for cand in (m, -m):
-        if cand.beta > 1 and cand.alpha == cand.beta - 1 and cand.gamma == 1 and cand.delta == 1:
-            return cand.beta
-    return None
+def _matches_shifted_h_transposed(m: Gl2Matrix) -> bool:
+    """Whether m = +-(beta-1 beta / 1 1) for some beta > 1; the sign is delta."""
+    return m.gamma == m.delta in (1, -1) and m.delta * m.beta > 1 and m.alpha == m.beta - m.delta
 
 
 def validate(g: DecompositionGraph) -> list[Violation]:
@@ -200,15 +198,11 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:
-        det = e.matrix.det
-        if det != -1:
-            out.append(Violation("normalization", e.id, f"matrix determinant must be -1, got {det}"))
-        elif e.matrix.beta == 0:
-            out.append(Violation(
-                "normalization", e.id,
-                "matrix has beta = 0: the gluing matches fibres, so the decomposition is non-minimal"))
-        elif not is_normalized(e.matrix):
-            out.append(Violation("normalization", e.id, "matrix is not normalized"))
+        try:
+            if not is_normalized(e.matrix):
+                out.append(Violation("normalization", e.id, "matrix is not normalized"))
+        except ValueError as exc:  # determinant +1, or beta = 0
+            out.append(Violation("normalization", e.id, str(exc)))
         if e.is_loop:
             out.append(Violation("loops", e.id, "loop edge (admitted; never part of a spanning tree)", "note"))
 
@@ -242,11 +236,11 @@ def validate(g: DecompositionGraph) -> list[Violation]:
             if is_plus_minus_h(e.matrix) and pair in ((0, 0), (-2, -2)):
                 out.append(Violation(
                     "(ii)(a)", e.id, f"+-H gluing of two (2,1)(2,1) disk pieces with b = {pair}"))
-            if _matches_shifted_h(e.matrix) is not None and pair == (-1, -2):
+            if _matches_shifted_h(e.matrix) and pair == (-1, -2):
                 out.append(Violation(
                     "(ii)(b)", e.id,
                     "+-(1 beta / 1 beta-1) gluing of two (2,1)(2,1) disk pieces with b = (-1, -2)"))
-            if _matches_shifted_h_transposed(e.matrix) is not None and pair == (0, -1):
+            if _matches_shifted_h_transposed(e.matrix) and pair == (0, -1):
                 out.append(Violation(
                     "(ii)(c)", e.id,
                     "+-(beta-1 beta / 1 1) gluing of two (2,1)(2,1) disk pieces with b = (0, -1)"))
@@ -278,18 +272,14 @@ def normalize_edge(g: DecompositionGraph, edge_id: str) -> tuple[DecompositionGr
     Replacing A by A * U^k adds k to b at the source; replacing A by U^h * A
     subtracts h from b at the target.  Both moves describe the same manifold,
     so bounds computed before and after must agree.  On a loop both shifts
-    land on the same vertex, changing its b by k - h.
+    land on the same vertex, changing its b by k - h.  The moves are those
+    of normalize_all on the graph cut down to this one edge.
     """
-    by_id = {e.id: e for e in g.edges}
-    if edge_id not in by_id:
+    e = next((x for x in g.edges if x.id == edge_id), None)
+    if e is None:
         raise ValueError(f"no edge with id {edge_id!r}")
-    e = by_id[edge_id]
-    new_matrix, k, h = normalize(e.matrix)
-    vertices = dict(g.vertices)
-    vertices[e.src] = replace(vertices[e.src], b=vertices[e.src].b + k)
-    vertices[e.dst] = replace(vertices[e.dst], b=vertices[e.dst].b - h)
-    edges = tuple(replace(x, matrix=new_matrix) if x.id == edge_id else x for x in g.edges)
-    return DecompositionGraph(vertices, edges), EdgeMove(edge_id, k, h)
+    one, (move,) = normalize_all(DecompositionGraph(g.vertices, (e,)))
+    return DecompositionGraph(one.vertices, tuple(one.edges[0] if x is e else x for x in g.edges)), move
 
 
 def normalize_all(g: DecompositionGraph) -> tuple[DecompositionGraph, list[EdgeMove]]:
@@ -297,14 +287,18 @@ def normalize_all(g: DecompositionGraph) -> tuple[DecompositionGraph, list[EdgeM
 
     One O(V + E) pass: each edge's matrix depends only on itself, and the b
     shifts add and commute, so they are summed per vertex and applied once.
-    The graph, the moves and any error equal those of folding normalize_edge
-    over the edges in id order.
+    The graph and the moves equal those of folding normalize_edge over the
+    edges in id order.  A label that cannot be normalized raises the
+    ValueError of gl2.normalize with the edge id in front.
     """
     shift = dict.fromkeys(g.vertices, 0)
     edges = []
     moves = []
     for e in g.edges:
-        new_matrix, k, h = normalize(e.matrix)
+        try:
+            new_matrix, k, h = normalize(e.matrix)
+        except ValueError as exc:
+            raise ValueError(f"edge {e.id!r}: {exc}") from exc
         shift[e.src] += k
         shift[e.dst] -= h
         edges.append(Edge(e.id, e.src, e.dst, new_matrix))

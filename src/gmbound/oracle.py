@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .bounds import DEFAULT_ASSIGNMENT_CAP, f
 from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance, matrix_complexity
-from .gl2 import H, Gl2Matrix, is_normalized, is_plus_minus_h
+from .gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h
 from .graph import DecompositionGraph
 from .spanning import DEFAULT_TREE_CAP, CapExceeded
 
@@ -62,7 +62,7 @@ def _all_spanning_trees(g: DecompositionGraph, cap: int) -> list[tuple]:
     total = math.comb(len(non_loop), len(vids) - 1)
     if total > cap:
         raise CapExceeded(
-            f"subset enumeration needs {total} > cap {cap} candidate sets", needed=total)
+            f"subset enumeration needs {int_text(total)} > cap {int_text(cap)} candidate sets", needed=total)
     return [combo for combo in itertools.combinations(non_loop, len(vids) - 1)
             if _spans(vids, combo)]
 
@@ -162,7 +162,7 @@ def bruteforce_min_f(
     if mode == "tree":
         count = 2 ** len(h_edges)
         if count > assignment_cap:
-            raise CapExceeded(f"needs {count} > cap {assignment_cap} assignments", needed=count)
+            raise CapExceeded(f"needs {int_text(count)} > cap {int_text(assignment_cap)} assignments", needed=count)
         best = None
         for values in itertools.product(("+", "-"), repeat=len(h_edges)):
             plus, minus = _sign_extras(h_edges, values)
@@ -191,7 +191,7 @@ def bruteforce_min_f(
         outside = [e for e in h_edges if e.id not in tree_ids]
         count = (2 ** len(inside)) * (6 ** len(outside))
         if count > assignment_cap:
-            raise CapExceeded(f"needs {count} > cap {assignment_cap} assignments", needed=count)
+            raise CapExceeded(f"needs {int_text(count)} > cap {int_text(assignment_cap)} assignments", needed=count)
         for psi_vals in itertools.product(("+", "-"), repeat=len(inside)):
             for psip_vals in itertools.product(
                     ("++", "+", "+-", "-+", "-", "--"), repeat=len(outside)):

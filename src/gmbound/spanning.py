@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .gl2 import is_plus_minus_h
+from .gl2 import int_text, is_plus_minus_h
 from .graph import DecompositionGraph
 
 DEFAULT_TREE_CAP = 10**6
@@ -92,7 +92,7 @@ def _forests(n: int, links, need: int, cap: int, what: str) -> Iterator[tuple[st
             if _join(parent, links[i:i + short], chosen, roots) == short:
                 emitted += 1
                 if emitted > cap:
-                    raise CapExceeded(f"more than {cap} {what}")
+                    raise CapExceeded(f"more than {int_text(cap)} {what}")
                 yield tuple(chosen)
         else:
             # take the next link that joins two components, one depth down

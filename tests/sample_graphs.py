@@ -60,6 +60,11 @@ def parallel_h() -> DecompositionGraph:  # bound 12
     )
 
 
+def h_loops(n: int) -> DecompositionGraph:
+    """One piece with n H-loops: valid, Phi = n, and 6^n labelings to search."""
+    return build_graph({"v1": SeifertData(0, (), 0)}, [Edge(f"e{i:05d}", "v1", "v1", H) for i in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # random matrices
 # ---------------------------------------------------------------------------

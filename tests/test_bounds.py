@@ -23,6 +23,7 @@ from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats
 from gmbound.oracle import bruteforce_min_f
 from gmbound.spanning import CapExceeded, capital_phi
 from sample_graphs import (
+    h_loops,
     h_pair,
     parallel_h,
     random_valid_graph,
@@ -243,6 +244,17 @@ def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             search(parallel_h(), assignment_cap=5)
         assert info.value.needed == 12
+
+
+def test_cap_message_outgrows_no_digit_limit():
+    # 6^5600 has 4358 digits, more than Python turns into a string by default
+    with pytest.raises(CapExceeded) as info:
+        best_bound(h_loops(5600))
+    assert info.value.needed == 6**5600
+    assert str(info.value) == "assignment search needs a 4358-digit number > cap 1048576 assignments"
+    with pytest.raises(CapExceeded) as info:
+        bound_general(h_loops(200), assignment_cap=10**150)
+    assert str(info.value) == "assignment search needs a 156-digit number > cap a 151-digit number assignments"
 
 
 # ---------------------------------------------------------------------------

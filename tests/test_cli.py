@@ -10,8 +10,9 @@ import pytest
 
 from gmbound import cli
 from gmbound.bounds import best_bound
-from gmbound.graph import graph_from_json, normalize_all
+from gmbound.graph import graph_from_json, graph_to_json, normalize_all
 from gmbound.oracle import MinFResult
+from sample_graphs import h_loops
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -33,6 +34,13 @@ LONG_BOUND = json.dumps({
                  {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": -2}],
     "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[BIG - 1, BIG], [1, 1]]}],
 })
+LONG_DET = json.dumps({  # determinant 10^8598 - 1
+    "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0},
+                 {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0}],
+    "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[10**4299, 1], [1, 10**4299]]}],
+})
+# 5600 H-loops on one piece: the search needs 6^5600 labelings, a 4358-digit count
+LONG_CAP_MESSAGE = "cap exceeded: assignment search needs a 4358-digit number > cap 1048576 assignments"
 LONG_SHIFT = json.dumps({  # normalizing moves each edge by k = -BIG at v1
     "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0},
                  {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0}],
@@ -81,6 +89,26 @@ def test_validate_invalid():
     result = run_cli("validate", str(FIXTURES / "invalid_h_pair.json"))
     assert result.returncode == 1
     assert result.stdout.startswith("(ii)(a) e1:")
+
+
+def test_validate_label_messages_pinned(tmp_path):
+    # one edge per way a label can break the contract: det +1, beta = 0, outside the window
+    path = tmp_path / "bad_labels.json"
+    path.write_text(json.dumps({
+        "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [3, 1]], "b": 0},
+                     {"id": "v2", "g": 0, "fibres": [[2, 1], [3, 1]], "b": 0}],
+        "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[1, 1], [0, 1]]},
+                  {"id": "e2", "from": "v2", "to": "v1", "matrix": [[1, 0], [0, -1]]},
+                  {"id": "e3", "from": "v1", "to": "v2", "matrix": [[5, 3], [2, 1]]}],
+    }))
+    result = run_cli("validate", str(path))
+    assert result.returncode == 1
+    assert result.stdout == (
+        "normalization e1: matrix determinant must be -1, got 1\n"
+        "normalization e2: matrix has beta = 0: the gluing matches fibres,"
+        " so the decomposition is non-minimal\n"
+        "normalization e3: matrix is not normalized\n"
+    )
 
 
 def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
@@ -324,3 +352,44 @@ def test_normalize_prints_long_b_shifts(tmp_path):
     assert result.returncode == 0, result.stderr
     normalized, _ = normalize_all(graph_from_json(LONG_SHIFT))
     assert result.stdout == _report_text(best_bound(normalized))
+
+
+def test_bound_reports_a_long_cap_count(tmp_path):
+    path = tmp_path / "h_loops.json"
+    path.write_text(graph_to_json(h_loops(5600)))
+    result = run_cli("bound", str(path))
+    assert result.returncode == 3
+    assert result.stderr.splitlines()[-1] == LONG_CAP_MESSAGE
+    assert "Traceback" not in result.stderr
+
+
+def test_batch_goes_on_after_a_long_cap_count(tmp_path):
+    (tmp_path / "a.json").write_text(graph_to_json(h_loops(5600)))
+    (tmp_path / "b.json").write_text((FIXTURES / "h_pair.json").read_text())
+    result = run_cli("batch", str(tmp_path))
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    blocks = result.stdout.strip().split("\n\n")
+    assert len(blocks) == 2
+    assert blocks[0].splitlines()[-2:] == ["ok", LONG_CAP_MESSAGE]
+    assert blocks[1] == "== b.json\nok\ntheorem: tree\nbound: 7"
+
+
+def test_long_determinant_is_a_parse_error(tmp_path):
+    path = tmp_path / "long_det.json"
+    path.write_text(LONG_DET)
+    for command in ("validate", "bound"):
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        # the message names the determinant's length, not Python's digit limit
+        assert result.stderr == "parse error: edge 'e1': determinant must be +1 or -1, got a 8598-digit number\n"
+
+
+def test_normalize_errors_name_the_edge(tmp_path):
+    path = tmp_path / "det_plus_one.json"
+    path.write_text((FIXTURES / "regular_pair.json").read_text().replace("[[1, 2], [1, 1]]", "[[1, 1], [0, 1]]"))
+    expected = "cannot normalize: edge 'e1': matrix determinant must be -1, got 1\n"
+    for args in (("normalize",), ("bound", "--normalize-first")):
+        result = run_cli(*args, str(path))
+        assert result.returncode == 1
+        assert result.stderr == expected

@@ -10,6 +10,7 @@ from gmbound.gl2 import (
     U,
     Gl2Matrix,
     compose,
+    int_text,
     is_normalized,
     is_plus_minus_h,
     normalize,
@@ -25,6 +26,23 @@ def test_determinant_enforced():
         Gl2Matrix(2, 1, 0, 1)
     assert Gl2Matrix(0, 1, 1, 0).det == -1
     assert Gl2Matrix(1, 1, 0, 1).det == 1
+    # the determinant 10^8598 - 1 is longer than Python turns into a string by default
+    big = 10**4299
+    with pytest.raises(ValueError, match=r"^determinant must be \+1 or -1, got a 8598-digit number$"):
+        Gl2Matrix(big, 1, 1, big)
+    with pytest.raises(ValueError, match=r"got a negative 8599-digit number$"):
+        Gl2Matrix(big, 1, 1, -big)  # -10^8598 - 1
+
+
+def test_int_text():
+    assert [int_text(n) for n in (0, 7, -7, 10**100 - 1)] == ["0", "7", "-7", "9" * 100]
+    assert int_text(10**100) == "a 101-digit number"
+    assert int_text(-(10**100)) == "a negative 101-digit number"
+    # at each power of ten, on either side, where a float logarithm may land one off
+    for k in (101, 999, 4300, 4301, 10**5):
+        assert int_text(10**k - 1) == f"a {k}-digit number"
+        assert int_text(10**k) == f"a {k + 1}-digit number"
+        assert int_text(-(10**k) - 1) == f"a negative {k + 1}-digit number"
 
 
 def test_constants():
@@ -81,10 +99,13 @@ def test_is_normalized_examples():
 
 
 def test_is_normalized_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        is_normalized(U)  # det +1
-    with pytest.raises(ValueError):
-        is_normalized(Gl2Matrix(1, 0, 0, -1))  # beta == 0
+    # the wording graph.validate reports, and normalize raises for its input
+    for check in (is_normalized, normalize):
+        with pytest.raises(ValueError, match=r"^matrix determinant must be -1, got 1$"):
+            check(U)
+        with pytest.raises(ValueError, match=r"^matrix has beta = 0: the gluing matches fibres, so the"
+                                             r" decomposition is non-minimal$"):
+            check(Gl2Matrix(1, 0, 0, -1))
 
 
 def test_normalize_worked_example():

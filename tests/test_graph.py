@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
+from gmbound import farey, gl2, graph
+from gmbound.bounds import best_bound
 from gmbound.gl2 import H, U, Gl2Matrix, compose, power_u
 from gmbound.graph import (
     DecompositionGraph,
@@ -13,6 +17,8 @@ from gmbound.graph import (
     Edge,
     GraphFormatError,
     SeifertData,
+    _matches_shifted_h,
+    _matches_shifted_h_transposed,
     build_graph,
     degree,
     degree_stats,
@@ -157,6 +163,18 @@ def test_validate_condition_ii_beta_two_overlap():
     assert _clauses(two_disk_pieces(-1, -2, m)) == ["(ii)(b)"]
     assert _clauses(two_disk_pieces(0, -1, m)) == ["(ii)(c)"]
     assert _clauses(two_disk_pieces(0, 0, m)) == []
+
+
+def test_shifted_h_patterns_match_their_definition():
+    small = range(-5, 6)
+    labels = [Gl2Matrix(*x) for x in itertools.product(small, repeat=4)
+              if x[0] * x[3] - x[1] * x[2] in (1, -1)]
+    for m in labels:
+        assert _matches_shifted_h(m) == any(
+            c.beta > 1 and c.alpha == 1 and c.gamma == 1 and c.delta == c.beta - 1 for c in (m, -m))
+        assert _matches_shifted_h_transposed(m) == any(
+            c.beta > 1 and c.alpha == c.beta - 1 and c.gamma == 1 and c.delta == 1 for c in (m, -m))
+    assert sum(map(_matches_shifted_h, labels)) == sum(map(_matches_shifted_h_transposed, labels)) == 8
 
 
 def test_validate_condition_ii_needs_exact_shape():
@@ -305,6 +323,33 @@ def test_normalize_all_is_linear():
     assert all((m.k, m.h) == (-1, 0) for m in moves)
     assert all(s.b == -1 for s in out.vertices.values())
     assert is_valid(out)
+
+
+def test_load_path_checks_each_label_at_most_three_times(monkeypatch):
+    # normalize_all checks each input label, validate each normalized one,
+    # and matrix_complexity each non-H one: no label is checked twice in a layer
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(gl2, "_check_edge_label", counted("check", gl2._check_edge_label))
+    for module in (graph, farey):
+        monkeypatch.setattr(module, "is_normalized", counted("is_normalized", module.is_normalized))
+    monkeypatch.setattr(Gl2Matrix, "det", property(counted("det", Gl2Matrix.det.fget)))
+    n = 60  # a cycle of non-normalized labels with every fifth edge +-H
+    vertices = {f"v{i:02d}": SeifertData(0, ((2, 1), (3, 1)), 0) for i in range(n)}
+    edges = [Edge(f"e{i:02d}", f"v{i:02d}", f"v{(i + 1) % n:02d}", H if i % 5 == 0 else Gl2Matrix(5, 3, 2, 1))
+             for i in range(n)]
+    g, _ = normalize_all(build_graph(vertices, edges))
+    assert is_valid(g)
+    best_bound(g)
+    assert calls["det"] <= 3 * n
+    assert calls["check"] <= 3 * n
+    assert calls["is_normalized"] <= 2 * n
 
 
 # ---------------------------------------------------------------------------

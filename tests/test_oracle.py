@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from gmbound.bounds import bound_general, bound_tree
 from gmbound.gl2 import Gl2Matrix, is_plus_minus_h
+from gmbound.graph import Edge, SeifertData, build_graph
 from gmbound.oracle import (
     LemmaFailure,
     LemmaReport,
@@ -18,6 +20,7 @@ from gmbound.oracle import (
 )
 from gmbound.spanning import CapExceeded, capital_phi, iter_spanning_trees, optimal_trees, phi
 from sample_graphs import (
+    h_loops,
     h_pair,
     parallel_h,
     random_penalized_graph,
@@ -61,6 +64,27 @@ def test_min_f_assignment_cap():
         bruteforce_min_f(h_pair(), "tree", assignment_cap=1)
     with pytest.raises(CapExceeded):
         bruteforce_min_f(parallel_h(), "general", assignment_cap=5)
+
+
+def test_oracle_cap_messages_outgrow_no_digit_limit():
+    # every count here has more digits than Python turns into a string by default
+    with pytest.raises(CapExceeded) as info:
+        bruteforce_min_f(h_loops(5600), "general")
+    assert info.value.needed == 6**5600
+    assert str(info.value) == "needs a 4358-digit number > cap 1048576 assignments"
+    with pytest.raises(CapExceeded) as info:
+        bruteforce_min_f(h_loops(14300), "tree")
+    assert info.value.needed == 2**14300
+    assert str(info.value) == "needs a 4305-digit number > cap 1048576 assignments"
+    # a path of 7200 pieces joined by double edges: C(14398, 7199) subsets to check
+    n = 7200
+    g = build_graph({f"v{i:04d}": SeifertData(0, ((2, 1),), 0) for i in range(n)},
+                    [Edge(f"e{i:04d}{j}", f"v{i:04d}", f"v{i + 1:04d}", Gl2Matrix(1, 2, 1, 1))
+                     for i in range(n - 1) for j in "ab"])
+    with pytest.raises(CapExceeded) as info:
+        bruteforce_phi(g)
+    assert info.value.needed == math.comb(2 * n - 2, n - 1)
+    assert str(info.value) == "subset enumeration needs a 4333-digit number > cap 1000000 candidate sets"
 
 
 def test_min_f_matches_production_sweep():
