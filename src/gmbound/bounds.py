@@ -29,9 +29,13 @@ window, less the most that the edges still unlabeled could take off it.
 A node whose bound is >= the least sum found so far is cut.  Everything
 it cuts is at least that sum, and only a strictly smaller sum replaces
 the one found, so the result is the first minimizer of the exhaustive
-search, witnesses included.  The assignment cap counts the labelings of
+search, witnesses included.
+
+The assignment cap is the search's one budget.  It counts the labelings of
 a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
-tree is enumerated.
+tree is enumerated.  It bounds the layouts as well: each is a basis of the
+H-subgraph's graphic matroid, a subset of H, so there are at most 2^|H| of
+them, which is no more than that count.
 
 A window must satisfy m < M, m <= 1, M >= -1, as f requires; labels only
 widen it, so each vertex is checked once, before the search, against all
@@ -46,7 +50,7 @@ from .farey import cf_sum, matrix_complexity
 from .gl2 import int_text, is_plus_minus_h
 from .graph import DecompositionGraph, degree_stats
 from .seifert import handle_count
-from .spanning import CapExceeded, capital_phi, optimal_trees, DEFAULT_TREE_CAP
+from .spanning import CapExceeded, capital_phi, optimal_trees
 
 DEFAULT_ASSIGNMENT_CAP = 2**20
 
@@ -258,12 +262,7 @@ def _search(layouts, short, over, index):
     return pens, tree, witness[:n_signed], witness[n_signed:]
 
 
-def _bound(
-    g: DecompositionGraph,
-    theorem: str | None,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> BoundReport:
+def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply."""
     h_edges, rest = [], []
@@ -287,7 +286,8 @@ def _bound(
             needed=count)
     if theorem == "general":
         layouts = []
-        for tree in optimal_trees(g, cap=tree_cap):
+        # #layouts <= 2^|H| <= count <= assignment_cap, so this cap never fires
+        for tree in optimal_trees(g, cap=assignment_cap):
             inside = set(tree)
             layouts.append((tree, [e for e in h_edges if e.id in inside],
                             [e for e in h_edges if e.id not in inside]))
@@ -335,7 +335,7 @@ def bound_regular(g: DecompositionGraph) -> BoundReport:
     return _bound(g, "regular")
 
 
-def bound_tree(g: DecompositionGraph, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
+def bound_tree(g: DecompositionGraph, *, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """Bound for graphs whose H-edges all fit in one spanning tree (Phi = 0).
 
     Minimizes the penalty sum over all sign assignments on the H-edges;
@@ -346,11 +346,7 @@ def bound_tree(g: DecompositionGraph, assignment_cap: int = DEFAULT_ASSIGNMENT_C
     return _bound(g, "tree", assignment_cap=assignment_cap)
 
 
-def bound_general(
-    g: DecompositionGraph,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> BoundReport:
+def bound_general(g: DecompositionGraph, *, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """Bound for arbitrary graphs: Phi(G) joins the sum, and the penalty is
     minimized over optimal spanning trees, sign assignments on tree H-edges
     and six-valued assignments on the H-edges outside the tree.
@@ -361,13 +357,9 @@ def bound_general(
     enumeration order: trees lexicographically, then psi (+ before -),
     then psi' in the order ++, +, +-, -+, -, --.
     """
-    return _bound(g, "general", tree_cap, assignment_cap)
+    return _bound(g, "general", assignment_cap)
 
 
-def best_bound(
-    g: DecompositionGraph,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> BoundReport:
+def best_bound(g: DecompositionGraph, *, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """Bound by the most specific applicable theorem."""
-    return _bound(g, None, tree_cap, assignment_cap)
+    return _bound(g, None, assignment_cap)

@@ -1,6 +1,9 @@
 """Command line interface.
 
 Subcommands: validate, bound, normalize, oracle (lemma | phi | minf), batch.
+The commands that search, bound, batch and oracle minf (both sides), share
+one budget: bound's --max-assignments, else MC_MAX_ASSIGNMENTS, else
+DEFAULT_ASSIGNMENT_CAP; the other commands ignore the variable.
 Exit codes: 0 ok, 1 invalid graph or inapplicable evaluator, 2 unreadable or
 malformed input or a bad cap value, 3 search cap exceeded, 4 oracle
 disagreement.  All output is deterministic for a given input.
@@ -25,7 +28,7 @@ from .bounds import (
 )
 from .graph import DecompositionGraph, GraphFormatError, graph_from_json, graph_to_json, normalize_all, validate
 from .oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
-from .spanning import DEFAULT_TREE_CAP, CapExceeded, capital_phi
+from .spanning import CapExceeded, capital_phi
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -42,16 +45,21 @@ def _load(path: str | Path) -> DecompositionGraph:
     return graph_from_json(text)
 
 
-def _cap(text: str) -> int:
-    """A search cap given on the command line: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        pass
-    else:
-        if value >= 0:
-            return value
-    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+def _at_least(low: int, wording: str):
+    """An argparse type for an integer >= low; wording names it in errors."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if value >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
+    return parse
+
+
+_cap = _at_least(0, "a non-negative integer")  # a search cap
 
 
 @contextmanager
@@ -126,17 +134,16 @@ def cmd_bound(args) -> int:
         print("graph is not valid; see messages above", file=sys.stderr)
         return EXIT_INVALID
 
-    assignment_cap = DEFAULT_ASSIGNMENT_CAP if args.max_assignments is None else args.max_assignments
-    tree_cap = DEFAULT_TREE_CAP if args.max_trees is None else args.max_trees
+    cap = args.max_assignments
     try:
         if args.theorem == "regular":
             report = bound_regular(g)
         elif args.theorem == "tree":
-            report = bound_tree(g, assignment_cap=assignment_cap)
+            report = bound_tree(g, assignment_cap=cap)
         elif args.theorem == "general":
-            report = bound_general(g, tree_cap=tree_cap, assignment_cap=assignment_cap)
+            report = bound_general(g, assignment_cap=cap)
         else:
-            report = best_bound(g, tree_cap=tree_cap, assignment_cap=assignment_cap)
+            report = best_bound(g, assignment_cap=cap)
     except TheoremInapplicable as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -189,8 +196,9 @@ def cmd_oracle_minf(args) -> int:
     if _print_issues(validate(g), sys.stderr):
         return EXIT_INVALID
     mode = "tree" if capital_phi(g) == 0 else "general"
-    production = bound_tree(g) if mode == "tree" else bound_general(g)
-    exhaustive = bruteforce_min_f(g, mode)
+    cap = args.max_assignments
+    production = (bound_tree if mode == "tree" else bound_general)(g, assignment_cap=cap)
+    exhaustive = bruteforce_min_f(g, mode, assignment_cap=cap)
     compared = (
         ("min", production.min_penalty, exhaustive.value),
         ("tree", production.witness_tree, exhaustive.tree),
@@ -228,7 +236,7 @@ def cmd_batch(args) -> int:
             continue
         print("ok")
         try:
-            report = best_bound(g)
+            report = best_bound(g, assignment_cap=args.max_assignments)
         except CapExceeded as exc:
             print(f"cap exceeded: {exc}")
             worst = max(worst, EXIT_CAP)
@@ -253,11 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--theorem", choices=("auto", "regular", "tree", "general"), default="auto")
     p.add_argument("--breakdown", action="store_true", help="print the full term breakdown")
-    p.add_argument("--max-trees", type=_cap, default=None,
-                   help="cap on optimal trees (one per set of tree H-edges)")
     p.add_argument("--max-assignments", type=_cap, default=None,
-                   help="cap on the unpruned labeling search per set of tree H-edges, "
-                        "2^(|H|-Phi) * 6^Phi, checked before searching (also MC_MAX_ASSIGNMENTS)")
+                   help="the search budget: cap on the unpruned labeling search per set of tree "
+                        "H-edges, 2^(|H|-Phi) * 6^Phi, checked before searching; it also bounds the "
+                        "tree layouts, at most 2^|H| (default MC_MAX_ASSIGNMENTS, else 2^20)")
     p.add_argument("--normalize-first", action="store_true",
                    help="normalize edge matrices (shifting b parameters) before validating")
     p.set_defaults(func=cmd_bound)
@@ -270,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_command", required=True)
 
     q = osub.add_parser("lemma", help="check the complexity formula by tree search")
-    q.add_argument("beta_max", type=int)
+    q.add_argument("beta_max", type=_at_least(2, "an integer >= 2"))
     q.set_defaults(func=cmd_oracle_lemma)
 
     q = osub.add_parser("phi", help="compare greedy Phi with full enumeration")
@@ -279,11 +286,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = osub.add_parser("minf", help="compare the penalty minimum with exhaustive search")
     q.add_argument("file")
-    q.set_defaults(func=cmd_oracle_minf)
+    q.set_defaults(func=cmd_oracle_minf, max_assignments=None)
 
     p = sub.add_parser("batch", help="validate and bound every .json file in a directory")
     p.add_argument("directory")
-    p.set_defaults(func=cmd_batch)
+    p.set_defaults(func=cmd_batch, max_assignments=None)
 
     return parser
 
@@ -291,10 +298,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    env = os.environ.get("MC_MAX_ASSIGNMENTS")
-    if args.command == "bound" and args.max_assignments is None and env is not None:
+    # only the commands that search carry max_assignments
+    if "max_assignments" in args and args.max_assignments is None:
+        env = os.environ.get("MC_MAX_ASSIGNMENTS")
         try:
-            args.max_assignments = _cap(env)
+            args.max_assignments = DEFAULT_ASSIGNMENT_CAP if env is None else _cap(env)
         except argparse.ArgumentTypeError as exc:
             parser.error(f"MC_MAX_ASSIGNMENTS {exc}")
     try:

@@ -25,7 +25,12 @@ DEFAULT_TREE_CAP = 10**6
 
 
 class CapExceeded(RuntimeError):
-    """A search would visit more objects than the configured cap allows."""
+    """A search would visit more objects than its cap allows.
+
+    The bounds have one cap, the assignment cap, checked against a count
+    known before any search; the tree enumerations here and the oracles'
+    searches have caps of their own.  needed is the count, when known.
+    """
 
     def __init__(self, message: str, needed: int | None = None):
         super().__init__(message)

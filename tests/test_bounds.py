@@ -21,7 +21,7 @@ from gmbound.bounds import (
 from gmbound.gl2 import H, Gl2Matrix, compose, power_u
 from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, normalize_all
 from gmbound.oracle import bruteforce_min_f
-from gmbound.spanning import CapExceeded, capital_phi
+from gmbound.spanning import CapExceeded, capital_phi, optimal_trees
 from sample_graphs import (
     h_loops,
     h_pair,
@@ -244,6 +244,31 @@ def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
         with pytest.raises(CapExceeded) as info:
             search(parallel_h(), assignment_cap=5)
         assert info.value.needed == 12
+
+
+def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
+    # the layouts are H-bases, at most 2^|H| <= 2^(|H|-Phi) * 6^Phi of them,
+    # so the tree scan gets the same cap and no other limit
+    seen = []
+
+    def recording(g, cap):
+        seen.append(cap)
+        return optimal_trees(g, cap)
+
+    monkeypatch.setattr("gmbound.bounds.optimal_trees", recording)
+    for cap in (12, 10**7):
+        assert best_bound(parallel_h(), assignment_cap=cap).total == 12
+    assert seen == [12, 10**7]
+
+
+def test_the_cap_is_keyword_only():
+    # an old positional tree cap must not silently become the assignment cap
+    with pytest.raises(TypeError):
+        best_bound(parallel_h(), tree_cap=5)
+    with pytest.raises(TypeError):
+        bound_general(parallel_h(), 5)
+    with pytest.raises(TypeError):
+        bound_tree(h_pair(), 5)
 
 
 def test_cap_message_outgrows_no_digit_limit():

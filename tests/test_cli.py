@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from gmbound import cli
-from gmbound.bounds import best_bound
+from gmbound.bounds import DEFAULT_ASSIGNMENT_CAP, best_bound
 from gmbound.graph import graph_from_json, graph_to_json, normalize_all
-from gmbound.oracle import MinFResult
+from gmbound.oracle import MinFResult, bruteforce_min_f
 from sample_graphs import h_loops
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -206,16 +207,62 @@ def test_bound_assignment_cap_flag_and_env():
     )
     assert result.returncode == 0
     # negative or non-integer caps are usage errors, even where no search runs
-    for flag in ("--max-assignments", "--max-trees"):
-        result = run_cli("bound", flag, "-1", str(FIXTURES / "regular_pair.json"))
-        assert result.returncode == 2
-        assert f"argument {flag}: must be a non-negative integer" in result.stderr
+    result = run_cli("bound", "--max-assignments", "-1", str(FIXTURES / "regular_pair.json"))
+    assert result.returncode == 2
+    assert "argument --max-assignments: must be a non-negative integer" in result.stderr
+    # the tree cap is gone: the assignment cap bounds the tree scan too
+    result = run_cli("bound", "--max-trees", "5", str(FIXTURES / "regular_pair.json"))
+    assert result.returncode == 2
+    assert "unrecognized arguments: --max-trees" in result.stderr
     for value in ("x", "-1"):
         result = run_cli("bound", str(FIXTURES / "regular_pair.json"),
                          env_extra={"MC_MAX_ASSIGNMENTS": value})
         assert result.returncode == 2
         assert "MC_MAX_ASSIGNMENTS must be a non-negative integer" in result.stderr
         assert "parse error" not in result.stderr
+
+
+def test_every_search_reads_the_budget_from_the_environment(tmp_path):
+    for name in ("h_pair.json", "regular_pair.json"):
+        (tmp_path / name).write_text((FIXTURES / name).read_text())
+    result = run_cli("batch", str(tmp_path), env_extra={"MC_MAX_ASSIGNMENTS": "1"})
+    assert result.returncode == 3
+    blocks = result.stdout.strip().split("\n\n")
+    assert blocks[0].splitlines()[0] == "== h_pair.json"
+    assert "cap exceeded: assignment search needs 2 > cap 1 assignments" in blocks[0]
+    assert blocks[1].splitlines()[0] == "== regular_pair.json"
+    assert "bound: 8" in blocks[1]
+    result = run_cli("oracle", "minf", str(FIXTURES / "h_pair.json"), env_extra={"MC_MAX_ASSIGNMENTS": "1"})
+    assert result.returncode == 3
+    assert "cap exceeded" in result.stderr
+    for command in ("batch", "oracle minf"):
+        result = run_cli(*command.split(), str(FIXTURES / "h_pair.json"), env_extra={"MC_MAX_ASSIGNMENTS": "x"})
+        assert result.returncode == 2
+        assert "MC_MAX_ASSIGNMENTS must be a non-negative integer" in result.stderr
+
+
+def test_commands_that_do_not_search_ignore_the_budget():
+    env = {"MC_MAX_ASSIGNMENTS": "x"}
+    assert run_cli("validate", str(FIXTURES / "regular_pair.json"), env_extra=env).returncode == 0
+    assert run_cli("normalize", str(FIXTURES / "regular_pair.json"), env_extra=env).returncode == 0
+    assert run_cli("oracle", "phi", str(FIXTURES / "parallel_h.json"), env_extra=env).returncode == 0
+
+
+def test_oracle_minf_gives_both_sides_the_budget(monkeypatch, capsys):
+    # a budget raised above the default must reach the exhaustive search too
+    caps = []
+
+    def exhaustive(g, mode, assignment_cap):
+        caps.append(assignment_cap)
+        return bruteforce_min_f(g, mode, assignment_cap=assignment_cap)
+
+    monkeypatch.setattr(cli, "bruteforce_min_f", exhaustive)
+    monkeypatch.setenv("MC_MAX_ASSIGNMENTS", str(10**7))
+    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS")
+    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
+    assert caps == [10**7, DEFAULT_ASSIGNMENT_CAP]
+    assert "witnesses equal" in capsys.readouterr().out
 
 
 def test_bound_deterministic_output():
@@ -245,6 +292,15 @@ def test_oracle_lemma():
     assert "verified" in result.stdout
 
 
+@pytest.mark.parametrize("beta_max", ["1", "-3", "x"])
+def test_oracle_lemma_needs_a_beta_max_of_at_least_2(beta_max):
+    # below 2 there is no normalized matrix to check, so nothing was verified
+    result = run_cli("oracle", "lemma", "--", beta_max)
+    assert result.returncode == 2
+    assert f"argument beta_max: must be an integer >= 2, got {beta_max!r}" in result.stderr
+    assert "verified" not in result.stdout
+
+
 def test_oracle_phi():
     result = run_cli("oracle", "phi", str(FIXTURES / "parallel_h.json"))
     assert result.returncode == 0
@@ -264,7 +320,7 @@ def test_oracle_minf():
 def test_oracle_minf_compares_witnesses(monkeypatch, capsys):
     # same value as production, other witnesses: still a disagreement
     monkeypatch.setattr(cli, "bruteforce_min_f",
-                        lambda g, mode: MinFResult(0, ("e2",), (("e2", "+"),), (("e1", "++"),)))
+                        lambda g, mode, assignment_cap: MinFResult(0, ("e2",), (("e2", "+"),), (("e1", "++"),)))
     assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 4
     out = capsys.readouterr().out
     assert "DISAGREEMENT: production tree = ('e1',), exhaustive tree = ('e2',)" in out
@@ -393,3 +449,18 @@ def test_normalize_errors_name_the_edge(tmp_path):
         result = run_cli(*args, str(path))
         assert result.returncode == 1
         assert result.stderr == expected
+
+
+def test_readme_lists_the_bound_options():
+    # the flags under `gmbound bound` in the README's CLI block are the parser's
+    block = (Path(__file__).parent.parent / "README.md").read_text().split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    listed, under_bound = set(), False
+    for line in block.splitlines():
+        if line.startswith("gmbound "):
+            under_bound = line.startswith("gmbound bound ")
+        elif under_bound and line.lstrip().startswith("--"):
+            listed.add(line.split()[0])
+    commands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for action in commands.choices["bound"]._actions if action.dest != "help"
+               for flag in action.option_strings}
+    assert listed == defined

@@ -122,6 +122,9 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     for g in graphs:
         classes = _optimal_trees_by_h_basis(g)
         assert optimal_trees(g) == tuple(trees[0] for trees in classes.values())
+        # the premise of the one search budget: the assignment count bounds the layouts
+        h, capital = sum(is_plus_minus_h(e.matrix) for e in g.edges), capital_phi(g)
+        assert len(optimal_trees(g)) <= 2 ** (h - capital) * 6**capital
         shared += any(len(trees) > 1 for trees in classes.values())
     assert shared >= 100  # many draws have several optimal trees per set of H-edges
 
