@@ -20,8 +20,8 @@ over it:
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
-then signs with + before -, then six values in PSI_PRIME_VALUES order, the
-last edge varying fastest), so reports are byte-reproducible.  It walks
+then signs with + before -, then six values in the order ++, +, +-, -+, -,
+--, the last edge varying fastest), so reports are byte-reproducible.  It walks
 that order depth first, one H-edge per level, keeping the penalty sum up
 to date as labels are set and undone.  At every node it holds a lower
 bound on all the labelings below it: each vertex's shortfall from its
@@ -33,13 +33,17 @@ search, witnesses included.
 
 The assignment cap is the search's one budget.  It counts the labelings of
 a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
-tree is enumerated.  It bounds the layouts as well: each is a basis of the
-H-subgraph's graphic matroid, a subset of H, so there are at most 2^|H| of
-them, which is no more than that count.
+tree is enumerated.  It bounds the tree scan as well: the layouts are the
+bases of the H-subgraph's graphic matroid, found by checking the
+comb(|H|, Phi) subsets of H of its rank, and comb(|H|, Phi) <= 2^|H| is no
+more than that count.  So the budget bounds the scan's work, not only the
+layouts it finds, before anything is enumerated.
 
 A window must satisfy m < M, m <= 1, M >= -1, as f requires; labels only
 widen it, so each vertex is checked once, before the search, against all
-of its labeled windows at once.  Class-S data always passes.
+of its labeled windows at once.  Given the counts, only m < M + ends can
+fail, and it is the class-S inequality d + r + 2h >= 3, so class-S data
+always passes.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ _PSI_PRIME_WEIGHTS = {
     "-": ((0, 1), (0, 2)),
     "--": ((0, 2), (0, 1)),
 }
-PSI_PRIME_VALUES = tuple(_PSI_PRIME_WEIGHTS)
 
 
 def _tables(weights):
@@ -286,7 +289,8 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
             needed=count)
     if theorem == "general":
         layouts = []
-        # #layouts <= 2^|H| <= count <= assignment_cap, so this cap never fires
+        # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
+        # subsets, so the budget bounds its work and this cap never fires
         for tree in optimal_trees(g, cap=assignment_cap):
             inside = set(tree)
             layouts.append((tree, [e for e in h_edges if e.id in inside],
@@ -302,10 +306,11 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         m, M, k = 1 - r - h - st.d_minus, h + st.d_plus - 1, st.d_zero
         # f's window check on every labeled window at once: labels only widen
         # the window, by at least one unit per H-edge end in all, and can
-        # leave either side where it is
-        if not (m < M + k and m <= 1 and M >= -1):
+        # leave either side where it is.  With r, h, d- and d+ >= 0, m <= 1
+        # and M >= -1 always hold, and m < M + k is d + r + 2h >= 3, class S.
+        if not m < M + k:
             raise ValueError(f"invalid penalty window at vertex {vid!r}: m={m}, M={M} with {k} H-edge "
-                             "ends; need m < M + ends, m <= 1, M >= -1")
+                             "ends; need m < M + ends")
         short.append(m - s.b)
         over.append(s.b - M)
         fixed.append((3 * (st.d + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))

@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-assignments", type=_cap, default=None,
                    help="the search budget: cap on the unpruned labeling search per set of tree "
                         "H-edges, 2^(|H|-Phi) * 6^Phi, checked before searching; it also bounds the "
-                        "tree layouts, at most 2^|H| (default MC_MAX_ASSIGNMENTS, else 2^20)")
+                        "tree scan, which checks at most comb(|H|, Phi) <= 2^|H| subsets of H-edges "
+                        "(default MC_MAX_ASSIGNMENTS, else 2^20)")
     p.add_argument("--normalize-first", action="store_true",
                    help="normalize edge matrices (shifting b parameters) before validating")
     p.set_defaults(func=cmd_bound)

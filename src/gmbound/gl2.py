@@ -58,11 +58,6 @@ class Gl2Matrix:
     def rows(self) -> list[list[int]]:
         return [[self.alpha, self.beta], [self.gamma, self.delta]]
 
-    @classmethod
-    def from_rows(cls, rows) -> "Gl2Matrix":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d)
-
 
 IDENTITY = Gl2Matrix(1, 0, 0, 1)
 H = Gl2Matrix(0, 1, 1, 0)

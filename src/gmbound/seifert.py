@@ -21,10 +21,6 @@ class SeifertData:
     fibres: tuple[tuple[int, int], ...] = ()
     b: int = 0
 
-    @classmethod
-    def make(cls, g: int, fibres=(), b: int = 0) -> "SeifertData":
-        return cls(g, tuple((p, q) for p, q in fibres), b)
-
 
 def handle_count(s: SeifertData) -> int:
     """Handles needed to build the base surface: 2g if orientable, -g if not."""

@@ -9,6 +9,12 @@ the bounds score depends on T only through T & H, so the optimal trees are
 enumerated one per basis; the enumeration of every spanning tree stays as
 the reference the tests compare against.
 
+Both enumerations follow the definition: they scan the subsets of the right
+size, in lexicographic order, and keep each one that a greedy forest
+construction takes whole.  A scan of k-subsets of m edges costs comb(m, k)
+checks, a count known before it starts; nothing recurses, and memory is
+O(|V| + k) however deep the graph.
+
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
 empty one.
@@ -16,6 +22,7 @@ empty one.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .gl2 import int_text, is_plus_minus_h
@@ -61,70 +68,35 @@ def _grow(parent: list[int], links) -> list[str]:
     return added
 
 
-def _join(parent: list[int], links, chosen: list[str], roots: list[int]) -> int:
-    """Add links in order while each joins two components of the union-find
-    parent, appending its id to chosen and the root it re-pointed to roots;
-    return how many were added."""
-    for count, (eid, u, v) in enumerate(links):
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru == rv:
-            return count
-        parent[ru] = rv
-        chosen.append(eid)
-        roots.append(ru)
-    return len(links)
-
-
 def _forests(n: int, links, need: int, cap: int, what: str) -> Iterator[tuple[str, ...]]:
     """Every acyclic need-subset of links as a tuple of ids, in lexicographic
     order of link positions.
 
-    Backtracks over one union-find, undoing each union on the way back, and
-    keeps the next link to try at each depth on an explicit stack instead of
-    recursing: memory is O(n + need), and deep graphs stay within Python's
-    recursion limit.  Raises CapExceeded once more than cap subsets have
-    been produced, so a capped caller never sees a silently truncated list.
+    Checks the need-subsets one by one against the definition: a subset is
+    a forest when _grow, on a fresh union-find, adds all of its links.  That
+    is comb(len(links), need) checks whatever the output, with no recursion
+    and O(n + need) memory.  Raises CapExceeded once more than cap subsets
+    have been produced, so a capped caller never sees a silently truncated
+    list.
     """
     emitted = 0
-    parent = list(range(n))
-    chosen, roots = [], []  # ids of the links taken, and the root each one re-pointed
-    nexts = [0]  # the next link to try at each depth
-    while nexts:
-        depth = len(nexts) - 1
-        i, short = nexts[-1], need - depth
-        if short == 0 or i + short == len(links):
-            # no choice is left: the remaining links must all join
-            if _join(parent, links[i:i + short], chosen, roots) == short:
-                emitted += 1
-                if emitted > cap:
-                    raise CapExceeded(f"more than {int_text(cap)} {what}")
-                yield tuple(chosen)
-        else:
-            # take the next link that joins two components, one depth down
-            while i + short <= len(links):
-                eid, u, v = links[i]
-                i += 1
-                ru, rv = _find(parent, u), _find(parent, v)
-                if ru != rv:
-                    parent[ru] = rv
-                    chosen.append(eid)
-                    roots.append(ru)
-                    nexts[-1] = i
-                    nexts.append(i)
-                    break
-            if len(chosen) > depth:
-                continue
-        # leave this depth, undoing what was joined since the link that led to it
-        nexts.pop()
-        keep = max(depth - 1, 0)
-        for root in roots[keep:]:
-            parent[root] = root
-        del chosen[keep:], roots[keep:]
+    for subset in itertools.combinations(links, need):
+        ids = _grow(list(range(n)), subset)
+        if len(ids) == need:
+            emitted += 1
+            if emitted > cap:
+                raise CapExceeded(f"more than {int_text(cap)} {what}")
+            yield tuple(ids)
 
 
 def iter_spanning_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, ...]]:
     """All spanning trees as sorted edge-id tuples, in lexicographic order:
-    the acyclic sets of |V| - 1 non-loop edges."""
+    the acyclic sets of |V| - 1 non-loop edges.
+
+    This is the reference enumeration, and it checks every candidate set:
+    comb(|E'|, |V| - 1) of them for the non-loop edges E', however few are
+    trees, so its cost does not follow the size of its output.
+    """
     links = _links(g, lambda e: e.src != e.dst)
     return _forests(len(g.vertices), links, len(g.vertices) - 1, cap, "spanning trees")
 
@@ -166,8 +138,12 @@ def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[t
     greedy completion of B over all edges in id order, which is the
     lexicographically first tree holding B; every other H-edge closes a
     cycle, because B is maximal.  So the result is the first tree of each
-    class of optimal trees sharing their H-edges.  Raises CapExceeded when
-    there are more than cap such trees.
+    class of optimal trees sharing their H-edges.
+
+    The bases are found by checking every rank-sized subset of the H-edges,
+    comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
+    O(n) memory.  Raises CapExceeded when there are more than cap such
+    trees.
     """
     n = len(g.vertices)
     links = _links(g, lambda e: True)
@@ -176,9 +152,8 @@ def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[t
     by_id = {link[0]: link for link in h_links}
     trees = []
     for basis in _forests(n, h_links, rank, cap, "optimal trees"):
-        parent = list(range(n))
-        _grow(parent, [by_id[eid] for eid in basis])
-        tree = set(basis).union(_grow(parent, links))
+        # B is acyclic, so the greedy pass takes all of it before the other edges
+        tree = set(_grow(list(range(n)), [by_id[eid] for eid in basis] + links))
         if len(tree) != n - 1:
             raise ValueError("graph has no spanning tree (disconnected)")
         trees.append(tuple(e.id for e in g.edges if e.id in tree))

@@ -170,4 +170,3 @@ def test_negation_and_rows():
     m = Gl2Matrix(2, 3, 1, 1)
     assert -m == Gl2Matrix(-2, -3, -1, -1)
     assert m.rows() == [[2, 3], [1, 1]]
-    assert Gl2Matrix.from_rows([[2, 3], [1, 1]]) == m

@@ -3,12 +3,6 @@ from __future__ import annotations
 from gmbound.seifert import SeifertData, fibre_problems, handle_count, validate_class_s
 
 
-def test_make_builds_tuples():
-    s = SeifertData.make(0, [[2, 1], [3, 2]], b=-1)
-    assert s.fibres == ((2, 1), (3, 2))
-    assert s.b == -1
-
-
 def test_fibre_problems_flags_bad_pairs():
     assert fibre_problems(SeifertData(0, ((2, 1), (5, 3)))) == []
     assert fibre_problems(SeifertData(0, ((2, 2),)))  # not coprime

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 
@@ -8,8 +9,9 @@ import pytest
 from gmbound.bounds import best_bound
 from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
 from gmbound.graph import Edge, SeifertData, build_graph, is_valid
-from gmbound.oracle import bruteforce_phi
+from gmbound.oracle import _all_spanning_trees, bruteforce_phi
 from gmbound.spanning import (
+    DEFAULT_TREE_CAP,
     CapExceeded,
     capital_phi,
     is_spanning_tree,
@@ -40,6 +42,22 @@ def test_iter_spanning_trees_triangle():
 
 def test_iter_spanning_trees_single_vertex():
     assert list(iter_spanning_trees(single_loop())) == [()]
+
+
+def test_iter_spanning_trees_matches_the_oracles_subset_scan():
+    # the same trees in the same order on multigraphs with loops and parallel edges
+    rng = random.Random(404)
+    loops = parallel = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        e = rng.randint(max(1, n - 1), 9)
+        g = random_multigraph(rng, n, e, h_probability=rng.random())
+        expected = [tuple(edge.id for edge in tree) for tree in _all_spanning_trees(g, DEFAULT_TREE_CAP)]
+        assert list(iter_spanning_trees(g)) == expected
+        pairs = [frozenset((edge.src, edge.dst)) for edge in g.edges if edge.src != edge.dst]
+        loops += len(pairs) < len(g.edges)
+        parallel += len(set(pairs)) < len(pairs)
+    assert loops >= 100 and parallel >= 100
 
 
 def test_loops_never_enter_trees():
@@ -125,6 +143,7 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
         # the premise of the one search budget: the assignment count bounds the layouts
         h, capital = sum(is_plus_minus_h(e.matrix) for e in g.edges), capital_phi(g)
         assert len(optimal_trees(g)) <= 2 ** (h - capital) * 6**capital
+        assert len(optimal_trees(g)) <= math.comb(h, capital)
         shared += any(len(trees) > 1 for trees in classes.values())
     assert shared >= 100  # many draws have several optimal trees per set of H-edges
 
