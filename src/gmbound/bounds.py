@@ -54,7 +54,7 @@ from .farey import cf_sum, matrix_complexity
 from .gl2 import int_text, is_plus_minus_h
 from .graph import DecompositionGraph, degree_stats
 from .seifert import handle_count
-from .spanning import CapExceeded, capital_phi, optimal_trees
+from .spanning import capital_phi, optimal_trees
 
 DEFAULT_ASSIGNMENT_CAP = 2**20
 
@@ -101,6 +101,20 @@ _PSI_PRIME_TABLES = _tables(_PSI_PRIME_WEIGHTS)
 
 class TheoremInapplicable(ValueError):
     """The requested evaluator does not apply to this graph."""
+
+
+class CapExceeded(RuntimeError):
+    """A search would visit more objects than its cap allows.
+
+    The bounds have one budget, the assignment cap, which _bound checks
+    against a count known before any search; that count also bounds the
+    tree scan, which has no cap of its own.  The oracles' exhaustive
+    searches have caps of their own.  needed is the count, when known.
+    """
+
+    def __init__(self, message: str, needed: int | None = None):
+        super().__init__(message)
+        self.needed = needed
 
 
 def f(m: int, M: int, b: int) -> int:
@@ -290,8 +304,8 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     if theorem == "general":
         layouts = []
         # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
-        # subsets, so the budget bounds its work and this cap never fires
-        for tree in optimal_trees(g, cap=assignment_cap):
+        # subsets, so the check above is its only budget
+        for tree in optimal_trees(g):
             inside = set(tree)
             layouts.append((tree, [e for e in h_edges if e.id in inside],
                             [e for e in h_edges if e.id not in inside]))

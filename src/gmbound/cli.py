@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .bounds import (
     DEFAULT_ASSIGNMENT_CAP,
+    CapExceeded,
     TheoremInapplicable,
     best_bound,
     bound_general,
@@ -28,7 +29,7 @@ from .bounds import (
 )
 from .graph import DecompositionGraph, GraphFormatError, graph_from_json, graph_to_json, normalize_all, validate
 from .oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
-from .spanning import CapExceeded, capital_phi
+from .spanning import capital_phi
 
 EXIT_OK = 0
 EXIT_INVALID = 1

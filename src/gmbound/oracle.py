@@ -13,8 +13,8 @@ production shortcuts can be checked against it:
                      bounded |beta| and compares the continued fraction
                      formula with the flip-distance search.
 
-Only the value types, the default caps, the penalty function f and cf_sum
-are shared with the production code; the search logic is written
+Only the value types, the default assignment cap, the penalty function f
+and cf_sum are shared with the production code; the search logic is written
 independently on purpose.
 """
 
@@ -24,11 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bounds import DEFAULT_ASSIGNMENT_CAP, f
+from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded, f
 from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance, matrix_complexity
 from .gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h
 from .graph import DecompositionGraph
-from .spanning import DEFAULT_TREE_CAP, CapExceeded
+
+# the most candidate sets the spanning-tree enumeration checks by default
+DEFAULT_TREE_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------

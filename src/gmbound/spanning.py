@@ -6,14 +6,14 @@ forests form a matroid, so Phi comes from a greedy forest construction, and
 a tree attains Phi exactly when its H-edges T & H form a basis of the
 H-subgraph's graphic matroid, a spanning forest of the H-edges.  Everything
 the bounds score depends on T only through T & H, so the optimal trees are
-enumerated one per basis; the enumeration of every spanning tree stays as
-the reference the tests compare against.
+enumerated one per basis.
 
-Both enumerations follow the definition: they scan the subsets of the right
-size, in lexicographic order, and keep each one that a greedy forest
-construction takes whole.  A scan of k-subsets of m edges costs comb(m, k)
-checks, a count known before it starts; nothing recurses, and memory is
-O(|V| + k) however deep the graph.
+The bases are found by their definition: one scan of the rank-sized
+subsets of the H-edges, in lexicographic order, keeps each subset that a
+greedy forest construction takes whole.  That is comb(|H|, Phi) checks, a
+count known before the scan starts, which the bounds check against their
+budget; the scan itself has no cap.  Nothing recurses, and memory is
+O(|V| + |H|) however deep the graph.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -23,25 +23,9 @@ empty one.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
 
-from .gl2 import int_text, is_plus_minus_h
+from .gl2 import is_plus_minus_h
 from .graph import DecompositionGraph
-
-DEFAULT_TREE_CAP = 10**6
-
-
-class CapExceeded(RuntimeError):
-    """A search would visit more objects than its cap allows.
-
-    The bounds have one cap, the assignment cap, checked against a count
-    known before any search; the tree enumerations here and the oracles'
-    searches have caps of their own.  needed is the count, when known.
-    """
-
-    def __init__(self, message: str, needed: int | None = None):
-        super().__init__(message)
-        self.needed = needed
 
 
 def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
@@ -51,8 +35,10 @@ def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
 
 
 def _find(parent: list[int], x: int) -> int:
+    # path halving: each step re-points x at its grandparent, so a chain
+    # that _grow built root to root is flattened while it is walked
     while parent[x] != x:
-        x = parent[x]
+        parent[x] = x = parent[parent[x]]
     return x
 
 
@@ -66,39 +52,6 @@ def _grow(parent: list[int], links) -> list[str]:
             parent[ru] = rv
             added.append(eid)
     return added
-
-
-def _forests(n: int, links, need: int, cap: int, what: str) -> Iterator[tuple[str, ...]]:
-    """Every acyclic need-subset of links as a tuple of ids, in lexicographic
-    order of link positions.
-
-    Checks the need-subsets one by one against the definition: a subset is
-    a forest when _grow, on a fresh union-find, adds all of its links.  That
-    is comb(len(links), need) checks whatever the output, with no recursion
-    and O(n + need) memory.  Raises CapExceeded once more than cap subsets
-    have been produced, so a capped caller never sees a silently truncated
-    list.
-    """
-    emitted = 0
-    for subset in itertools.combinations(links, need):
-        ids = _grow(list(range(n)), subset)
-        if len(ids) == need:
-            emitted += 1
-            if emitted > cap:
-                raise CapExceeded(f"more than {int_text(cap)} {what}")
-            yield tuple(ids)
-
-
-def iter_spanning_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> Iterator[tuple[str, ...]]:
-    """All spanning trees as sorted edge-id tuples, in lexicographic order:
-    the acyclic sets of |V| - 1 non-loop edges.
-
-    This is the reference enumeration, and it checks every candidate set:
-    comb(|E'|, |V| - 1) of them for the non-loop edges E', however few are
-    trees, so its cost does not follow the size of its output.
-    """
-    links = _links(g, lambda e: e.src != e.dst)
-    return _forests(len(g.vertices), links, len(g.vertices) - 1, cap, "spanning trees")
 
 
 def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
@@ -129,7 +82,7 @@ def capital_phi(g: DecompositionGraph) -> int:
     return len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
 
 
-def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[tuple[str, ...], ...]:
+def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     """One spanning tree attaining Phi(G) per distinct set of tree H-edges,
     as sorted edge-id tuples in lexicographic order.
 
@@ -142,18 +95,19 @@ def optimal_trees(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> tuple[t
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
-    O(n) memory.  Raises CapExceeded when there are more than cap such
-    trees.
+    O(n) memory.  Nothing here limits that count; the bounds check it
+    against their budget before calling.
     """
     n = len(g.vertices)
     links = _links(g, lambda e: True)
     h_links = [link for link, e in zip(links, g.edges) if is_plus_minus_h(e.matrix)]
     rank = len(_grow(list(range(n)), h_links))
-    by_id = {link[0]: link for link in h_links}
     trees = []
-    for basis in _forests(n, h_links, rank, cap, "optimal trees"):
+    for basis in itertools.combinations(h_links, rank):
+        if len(_grow(list(range(n)), basis)) < rank:
+            continue
         # B is acyclic, so the greedy pass takes all of it before the other edges
-        tree = set(_grow(list(range(n)), [by_id[eid] for eid in basis] + links))
+        tree = set(_grow(list(range(n)), itertools.chain(basis, links)))
         if len(tree) != n - 1:
             raise ValueError("graph has no spanning tree (disconnected)")
         trees.append(tuple(e.id for e in g.edges if e.id in tree))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import random
 import time
@@ -11,6 +12,7 @@ import pytest
 
 from gmbound.bounds import (
     BoundReport,
+    CapExceeded,
     TheoremInapplicable,
     best_bound,
     bound_general,
@@ -21,7 +23,7 @@ from gmbound.bounds import (
 from gmbound.gl2 import H, Gl2Matrix, compose, power_u
 from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, normalize_all
 from gmbound.oracle import bruteforce_min_f
-from gmbound.spanning import CapExceeded, capital_phi, optimal_trees
+from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
     h_loops,
     h_pair,
@@ -247,18 +249,20 @@ def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
 
 
 def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
-    # the layouts are H-bases, at most 2^|H| <= 2^(|H|-Phi) * 6^Phi of them,
-    # so the tree scan gets the same cap and no other limit
+    # the tree scan checks comb(|H|, Phi) <= 2^|H| <= 2^(|H|-Phi) * 6^Phi
+    # subsets, so the assignment cap checked before it is its only limit
+    assert list(inspect.signature(optimal_trees).parameters) == ["g"]
     seen = []
 
-    def recording(g, cap):
-        seen.append(cap)
-        return optimal_trees(g, cap)
+    def recording(*args, **kwargs):
+        seen.append((args, kwargs))
+        return optimal_trees(*args, **kwargs)
 
     monkeypatch.setattr("gmbound.bounds.optimal_trees", recording)
+    g = parallel_h()
     for cap in (12, 10**7):
-        assert best_bound(parallel_h(), assignment_cap=cap).total == 12
-    assert seen == [12, 10**7]
+        assert best_bound(g, assignment_cap=cap).total == 12
+    assert seen == [((g,), {}), ((g,), {})]
 
 
 def test_the_cap_is_keyword_only():

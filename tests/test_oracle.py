@@ -6,19 +6,21 @@ import random
 
 import pytest
 
-from gmbound.bounds import bound_general, bound_tree
+from gmbound.bounds import CapExceeded, bound_general, bound_tree
 from gmbound.gl2 import Gl2Matrix, is_plus_minus_h
 from gmbound.graph import Edge, SeifertData, build_graph
 from gmbound.oracle import (
+    DEFAULT_TREE_CAP,
     LemmaFailure,
     LemmaReport,
+    _all_spanning_trees,
     _sign_extras,
     _window_penalty_sum,
     bruteforce_min_f,
     bruteforce_phi,
     verify_lemma,
 )
-from gmbound.spanning import CapExceeded, capital_phi, iter_spanning_trees, optimal_trees, phi
+from gmbound.spanning import capital_phi, optimal_trees, phi
 from sample_graphs import (
     h_loops,
     h_pair,
@@ -118,7 +120,8 @@ def test_min_f_matches_production_on_h_shapes(shape, seed):
             general += 1
             production = bound_general(g)
             result = bruteforce_min_f(g, "general")
-            optimal = sum(1 for t in iter_spanning_trees(g) if phi(g, t) == target)
+            optimal = sum(1 for t in _all_spanning_trees(g, DEFAULT_TREE_CAP)
+                          if phi(g, tuple(e.id for e in t)) == target)
             shared += optimal > len(optimal_trees(g))
         assert result.value == production.min_penalty
         assert result.tree == production.witness_tree

@@ -6,19 +6,11 @@ import tracemalloc
 
 import pytest
 
-from gmbound.bounds import best_bound
+from gmbound.bounds import CapExceeded, best_bound
 from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
 from gmbound.graph import Edge, SeifertData, build_graph, is_valid
-from gmbound.oracle import _all_spanning_trees, bruteforce_phi
-from gmbound.spanning import (
-    DEFAULT_TREE_CAP,
-    CapExceeded,
-    capital_phi,
-    is_spanning_tree,
-    iter_spanning_trees,
-    optimal_trees,
-    phi,
-)
+from gmbound.oracle import DEFAULT_TREE_CAP, _all_spanning_trees, bruteforce_phi
+from gmbound.spanning import _grow, capital_phi, is_spanning_tree, optimal_trees, phi
 from sample_graphs import parallel_h, random_multigraph, single_loop
 
 _DISK = SeifertData(0, ((2, 1), (2, 1)), 0)
@@ -35,29 +27,9 @@ def _triangle_graph():
     return build_graph(vertices, edges)
 
 
-def test_iter_spanning_trees_triangle():
-    trees = list(iter_spanning_trees(_triangle_graph()))
-    assert trees == [("e1", "e2"), ("e1", "e3"), ("e2", "e3")]
-
-
-def test_iter_spanning_trees_single_vertex():
-    assert list(iter_spanning_trees(single_loop())) == [()]
-
-
-def test_iter_spanning_trees_matches_the_oracles_subset_scan():
-    # the same trees in the same order on multigraphs with loops and parallel edges
-    rng = random.Random(404)
-    loops = parallel = 0
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        e = rng.randint(max(1, n - 1), 9)
-        g = random_multigraph(rng, n, e, h_probability=rng.random())
-        expected = [tuple(edge.id for edge in tree) for tree in _all_spanning_trees(g, DEFAULT_TREE_CAP)]
-        assert list(iter_spanning_trees(g)) == expected
-        pairs = [frozenset((edge.src, edge.dst)) for edge in g.edges if edge.src != edge.dst]
-        loops += len(pairs) < len(g.edges)
-        parallel += len(set(pairs)) < len(pairs)
-    assert loops >= 100 and parallel >= 100
+def _all_trees(g):
+    """Every spanning tree as an edge-id tuple, from the oracle's subset scan."""
+    return [tuple(e.id for e in tree) for tree in _all_spanning_trees(g, DEFAULT_TREE_CAP)]
 
 
 def test_loops_never_enter_trees():
@@ -65,7 +37,8 @@ def test_loops_never_enter_trees():
         {"v1": _DISK, "v2": _DISK},
         [Edge("e1", "v1", "v2", _M), Edge("e2", "v1", "v1", H)],
     )
-    assert list(iter_spanning_trees(g)) == [("e1",)]
+    assert _all_trees(g) == [("e1",)]
+    assert optimal_trees(g) == (("e1",),)
     assert is_spanning_tree(g, ("e1",))
     assert not is_spanning_tree(g, ("e2",))
     assert not is_spanning_tree(g, ())
@@ -109,12 +82,12 @@ def test_tree_cap():
         edges.append(Edge(f"e{2 * i + 1}", u, v, H))
         edges.append(Edge(f"e{2 * i + 2}", u, v, H))
     g = build_graph(vertices, edges)
-    assert len(list(iter_spanning_trees(g))) == 32
-    with pytest.raises(CapExceeded):
-        list(iter_spanning_trees(g, cap=2))
-    assert len(optimal_trees(g, cap=32)) == 32
-    with pytest.raises(CapExceeded):
-        optimal_trees(g, cap=31)
+    assert len(optimal_trees(g)) == 32
+    # the one budget bounds the scan: 2^3 * 6^5 labelings per tree, 8 H-edges
+    with pytest.raises(CapExceeded) as info:
+        best_bound(g, assignment_cap=62207)
+    assert info.value.needed == 2**3 * 6**5 == 62208
+    assert best_bound(g, assignment_cap=62208).theorem == "general"
 
 
 def _optimal_trees_by_h_basis(g):
@@ -123,7 +96,7 @@ def _optimal_trees_by_h_basis(g):
     target = capital_phi(g)
     h_ids = frozenset(e.id for e in g.edges if is_plus_minus_h(e.matrix))
     classes = {}
-    for t in iter_spanning_trees(g):
+    for t in _all_trees(g):
         if phi(g, t) == target:
             classes.setdefault(h_ids.intersection(t), []).append(t)
     return classes
@@ -148,16 +121,16 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     assert shared >= 100  # many draws have several optimal trees per set of H-edges
 
 
-def _cycle(n, extra=()):
-    """A cycle of n (0, [(2,1), (3,1)], 0) pieces glued by (1 2 / 1 1)."""
+def _cycle(n, extra=(), matrix=_M):
+    """A cycle of n (0, [(2,1), (3,1)], 0) pieces glued by matrix, (1 2 / 1 1)
+    unless given."""
     piece = SeifertData(0, ((2, 1), (3, 1)), 0)
     ids = [f"v{i:04d}" for i in range(n)]
-    edges = [Edge(f"e{i:04d}", ids[i], ids[(i + 1) % n], _M) for i in range(n)]
+    edges = [Edge(f"e{i:04d}", ids[i], ids[(i + 1) % n], matrix) for i in range(n)]
     return build_graph(dict.fromkeys(ids, piece), edges + [Edge(eid, ids[0], ids[1], H) for eid in extra])
 
 
 def test_deep_graphs_need_no_recursion():
-    assert sum(1 for _ in iter_spanning_trees(_cycle(1500))) == 1500
     g = _cycle(1500, extra=("h1", "h2"))
     assert is_valid(g)
     report = best_bound(g)
@@ -167,16 +140,33 @@ def test_deep_graphs_need_no_recursion():
 
 
 def test_tree_enumeration_memory_does_not_grow_with_depth():
-    # a copy of the union-find per stack frame peaked at about 26 MB on this cycle
-    g = _cycle(1500)
+    # an H-cycle has one optimal tree per H-edge left out; beyond the trees
+    # it returns, the scan holds one union-find and one subset at a time
+    g = _cycle(500, matrix=H)
     tracemalloc.start()
     try:
-        count = sum(1 for _ in iter_spanning_trees(g))
-        peak = tracemalloc.get_traced_memory()[1]
+        trees = optimal_trees(g)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == 1500
-    assert peak < 4 * 2**20
+    assert len(trees) == 500
+    assert peak - kept < 2**20
+
+
+def test_union_find_stays_flat_on_a_star():
+    # every link starts at the hub, so each union re-points the hub's root at
+    # a leaf; without path compression each find would walk the whole chain
+    class CountingList(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return super().__getitem__(i)
+
+    leaves = 4000
+    parent = CountingList(range(leaves + 1))
+    assert len(_grow(parent, [(f"e{i}", 0, i) for i in range(1, leaves + 1)])) == leaves
+    assert parent.reads < 10 * leaves
 
 
 def test_capital_phi_greedy_matches_bruteforce_sweep():
