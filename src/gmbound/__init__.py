@@ -17,22 +17,9 @@ from .bounds import (
     bound_general,
     bound_regular,
     bound_tree,
-    f,
 )
-from .farey import (
-    TAU_MINUS,
-    TAU_PLUS,
-    FareyTriangle,
-    Slope,
-    act,
-    cf_sum,
-    complexity_by_search,
-    farey_distance,
-    matrix_complexity,
-    slope,
-    triangle,
-)
-from .gl2 import H, IDENTITY, U, Gl2Matrix, compose, is_normalized, is_plus_minus_h, normalize, power_u
+from .farey import TAU_MINUS, TAU_PLUS, FareyTriangle, Slope, act, complexity_by_search, farey_distance, slope, triangle
+from .gl2 import H, Gl2Matrix, cf_sum, is_normalized, is_plus_minus_h, matrix_complexity, normalize
 from .graph import (
     DecompositionGraph,
     DegreeStats,
@@ -45,18 +32,20 @@ from .graph import (
     graph_to_json,
     is_valid,
     normalize_all,
-    normalize_edge,
     validate,
 )
-from .oracle import DEFAULT_TREE_CAP, LemmaReport, MinFResult, bruteforce_min_f, bruteforce_phi, verify_lemma
+from .oracle import DEFAULT_TREE_CAP, LemmaReport, MinFResult, bruteforce_min_f, bruteforce_phi, f, verify_lemma
 from .seifert import SeifertData, handle_count, validate_class_s
-from .spanning import capital_phi, is_spanning_tree, optimal_trees, phi
+from .spanning import capital_phi, is_spanning_tree, optimal_trees
 
 __version__ = "0.1.0"
 
 # the names the README documents and the tests and the benchmark import from
 # the package itself, which stay; the other names imported above can be
-# imported explicitly too, but may go when the code behind them does
+# imported explicitly too, but may go when the code behind them does.  The
+# reference code (the flip search, the brute-force oracles and the penalty
+# function f) is re-exported from farey and oracle; the production modules
+# import neither of them
 __all__ = [
     "BoundReport",
     "DecompositionGraph",

@@ -39,19 +39,18 @@ comb(|H|, Phi) subsets of H of its rank, and comb(|H|, Phi) <= 2^|H| is no
 more than that count.  So the budget bounds the scan's work, not only the
 layouts it finds, before anything is enumerated.
 
-A window must satisfy m < M, m <= 1, M >= -1, as f requires; labels only
-widen it, so each vertex is checked once, before the search, against all
-of its labeled windows at once.  Given the counts, only m < M + ends can
-fail, and it is the class-S inequality d + r + 2h >= 3, so class-S data
-always passes.
+A window must satisfy m < M, m <= 1, M >= -1, where the paper defines f
+(oracle.f rejects any other window); labels only widen it, so each vertex
+is checked once, before the search, against all of its labeled windows at
+once.  Given the counts, only m < M + ends can fail, and it is the class-S
+inequality d + r + 2h >= 3, so class-S data always passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .farey import cf_sum, matrix_complexity
-from .gl2 import int_text, is_plus_minus_h
+from .gl2 import cf_sum, int_text, is_plus_minus_h, matrix_complexity
 from .graph import DecompositionGraph, degree_stats
 from .seifert import handle_count
 from .spanning import capital_phi, optimal_trees
@@ -115,21 +114,6 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, needed: int | None = None):
         super().__init__(message)
         self.needed = needed
-
-
-def f(m: int, M: int, b: int) -> int:
-    """Distance of b from the window [m, M]: m - b below, b - M above, else 0.
-
-    Requires m < M, m <= 1 and M >= -1; violations signal an inadmissible
-    piece upstream and are rejected rather than clamped.
-    """
-    if not (m < M and m <= 1 and M >= -1):
-        raise ValueError(f"invalid penalty window m={m}, M={M}; need m < M, m <= 1, M >= -1")
-    if b < m:
-        return m - b
-    if b > M:
-        return b - M
-    return 0
 
 
 # ---------------------------------------------------------------------------

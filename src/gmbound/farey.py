@@ -1,4 +1,5 @@
-"""Farey triangulation combinatorics and the complexity of a gluing matrix.
+"""Farey triangulation combinatorics: the flip-search reference for the
+complexity of a gluing matrix.
 
 Slopes are primitive integer pairs (a, b) taken up to overall sign and
 written a/b, with 1/0 standing for infinity.  Two slopes span an edge of the
@@ -11,9 +12,10 @@ The two base triangles are tau+ = {inf, 0, 1} and tau- = {inf, 0, -1}.
 GL2(Z) acts on slopes by (a, b) -> (alpha*a + beta*b, gamma*a + delta*b),
 permuting the triangulation.  The complexity of a normalized determinant -1
 matrix is the distance from its image of tau- back to tau+, which collapses
-to a continued fraction sum; complexity_by_search recomputes it by walking
-the tree, with no continued fractions involved, and is used to cross-check
-the closed form.
+to a continued fraction sum, gl2.matrix_complexity.  complexity_by_search
+recomputes it by walking the tree, with no continued fractions involved; the
+oracle, the tests and the benchmark checker use it to check the closed form,
+and no production module imports this one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gl2 import Gl2Matrix, is_normalized, is_plus_minus_h
+from .gl2 import Gl2Matrix
 
 
 @dataclass(frozen=True, order=True)
@@ -80,24 +82,6 @@ TAU_PLUS = triangle(INF, ZERO, slope(1, 1))
 TAU_MINUS = triangle(INF, ZERO, slope(-1, 1))
 
 
-def cf_sum(p: int, q: int) -> int:
-    """Sum of the continued fraction coefficients of p/q.
-
-    The coefficients are the quotients of the Euclidean algorithm, so the
-    sum does not depend on whether the expansion ends [..., a] or
-    [..., a-1, 1].
-    """
-    if p <= 0 or q <= 0:
-        raise ValueError(f"cf_sum needs positive integers, got ({p}, {q})")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"cf_sum needs a reduced fraction, got ({p}, {q})")
-    total = 0
-    while q:
-        total += p // q
-        p, q = q, p % q
-    return total
-
-
 def act(m: Gl2Matrix, t: FareyTriangle) -> FareyTriangle:
     """Image of a triangle under m; matrices of determinant +1 or -1 only."""
     return triangle(
@@ -154,21 +138,10 @@ def farey_distance(t1: FareyTriangle, t2: FareyTriangle) -> int:
     return steps
 
 
-def matrix_complexity(m: Gl2Matrix) -> int:
-    """Complexity of a normalized determinant -1 gluing: 0 for +-H, else
-    cf_sum(|beta|, |delta|) - 1.  Non-normalized input is rejected."""
-    if not is_normalized(m):
-        raise ValueError("matrix_complexity needs a normalized matrix")
-    if is_plus_minus_h(m):
-        return 0
-    # normalized and not +-H forces |beta| > |delta| >= 1 with beta/delta > 0
-    return cf_sum(abs(m.beta), abs(m.delta)) - 1
-
-
 def complexity_by_search(m: Gl2Matrix) -> int:
     """Complexity recomputed with no shortcut: the least flip distance from
     m(tau-) or m(tau+) to either base triangle.  Any determinant +-1 matrix
-    is accepted; for normalized ones this must agree with matrix_complexity."""
+    is accepted; for normalized ones this must agree with gl2.matrix_complexity."""
     images = (act(m, TAU_MINUS), act(m, TAU_PLUS))
     bases = (TAU_MINUS, TAU_PLUS)
     return min(farey_distance(img, base) for img in images for base in bases)

@@ -9,13 +9,14 @@ where eps is the sign of beta.  Every determinant -1 matrix with beta != 0
 can be brought to normalized form by multiplying with powers of
 U = (1 0 / 1 1) on both sides.  The exponents are returned alongside the
 result because the same moves shift the integer parameters b of the Seifert
-pieces glued along the edge (see graph.normalize_edge for one edge and
-graph.normalize_all for a whole graph).
+pieces glued along the edge (see graph.normalize_all).
 
 This module alone decides whether a label keeps that contract and words
 each way it can break it (_check_edge_label); graph.validate reports the
-error of is_normalized as it is.  All arithmetic is plain Python integer
-arithmetic, so it is exact at any magnitude.
+error of is_normalized as it is.  It also prices a label: the complexity of
+a normalized gluing is a continued fraction sum (matrix_complexity, on
+cf_sum), which the flip search in farey checks.  All arithmetic is plain
+Python integer arithmetic, so it is exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -59,24 +60,7 @@ class Gl2Matrix:
         return [[self.alpha, self.beta], [self.gamma, self.delta]]
 
 
-IDENTITY = Gl2Matrix(1, 0, 0, 1)
 H = Gl2Matrix(0, 1, 1, 0)
-U = Gl2Matrix(1, 0, 1, 1)
-
-
-def compose(a: Gl2Matrix, b: Gl2Matrix) -> Gl2Matrix:
-    """Matrix product a * b."""
-    return Gl2Matrix(
-        a.alpha * b.alpha + a.beta * b.gamma,
-        a.alpha * b.beta + a.beta * b.delta,
-        a.gamma * b.alpha + a.delta * b.gamma,
-        a.gamma * b.beta + a.delta * b.delta,
-    )
-
-
-def power_u(k: int) -> Gl2Matrix:
-    """U^k in closed form: (1 0 / k 1), valid for any integer k."""
-    return Gl2Matrix(1, 0, k, 1)
 
 
 def is_plus_minus_h(a: Gl2Matrix) -> bool:
@@ -126,3 +110,32 @@ def normalize(a: Gl2Matrix) -> tuple[Gl2Matrix, int, int]:
     h = -(a.delta // a.beta)
     alpha = a.alpha + k * a.beta
     return Gl2Matrix(alpha, a.beta, a.gamma + k * a.delta + h * alpha, a.delta + h * a.beta), k, h
+
+
+def cf_sum(p: int, q: int) -> int:
+    """Sum of the continued fraction coefficients of p/q.
+
+    The coefficients are the quotients of the Euclidean algorithm, so the
+    sum does not depend on whether the expansion ends [..., a] or
+    [..., a-1, 1].
+    """
+    if p <= 0 or q <= 0:
+        raise ValueError(f"cf_sum needs positive integers, got ({p}, {q})")
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"cf_sum needs a reduced fraction, got ({p}, {q})")
+    total = 0
+    while q:
+        total += p // q
+        p, q = q, p % q
+    return total
+
+
+def matrix_complexity(m: Gl2Matrix) -> int:
+    """Complexity of a normalized determinant -1 gluing: 0 for +-H, else
+    cf_sum(|beta|, |delta|) - 1.  Non-normalized input is rejected."""
+    if not is_normalized(m):
+        raise ValueError("matrix_complexity needs a normalized matrix")
+    if is_plus_minus_h(m):
+        return 0
+    # normalized and not +-H forces |beta| > |delta| >= 1 with beta/delta > 0
+    return cf_sum(abs(m.beta), abs(m.delta)) - 1

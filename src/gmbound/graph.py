@@ -23,8 +23,8 @@ Each check runs in one place:
   gl2              the label contract, decided and worded there alone:
                    determinant -1, beta != 0 and the window (is_normalized);
                    normalize checks the first two on its input only, as its
-                   output is normalized by construction, and normalize_edge
-                   and normalize_all put the edge id in front of its errors;
+                   output is normalized by construction, and normalize_all
+                   puts the edge id in front of its errors;
   validate         admissibility: at least one edge, connected, every edge
                    label normalized (one is_normalized call each, whose
                    error becomes the violation), well-formed fibres, class S
@@ -35,7 +35,7 @@ Each check runs in one place:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .gl2 import Gl2Matrix, is_normalized, is_plus_minus_h, normalize
 from .seifert import SeifertData, fibre_problems, validate_class_s
@@ -113,6 +113,8 @@ class DegreeStats:
     d_zero: int
 
 
+# no production module calls it (validate counts degrees in degree_stats); the
+# benchmark's traced run wraps it
 def degree(g: DecompositionGraph, vid: str) -> int:
     return sum((e.src == vid) + (e.dst == vid) for e in g.edges)
 
@@ -265,38 +267,18 @@ class EdgeMove:
     h: int
 
 
-def normalize_edge(g: DecompositionGraph, edge_id: str) -> tuple[DecompositionGraph, EdgeMove]:
-    """Normalize one edge matrix, shifting the endpoint b parameters.
-
-    Replacing A by A * U^k adds k to b at the source; replacing A by U^h * A
-    subtracts h from b at the target.  Both moves describe the same manifold,
-    so bounds computed before and after must agree.  On a loop both shifts
-    land on the same vertex, changing its b by k - h.  A label that cannot
-    be normalized raises the ValueError of gl2.normalize with the edge id in
-    front, as in normalize_all.
-    """
-    by_id = {e.id: e for e in g.edges}
-    if edge_id not in by_id:
-        raise ValueError(f"no edge with id {edge_id!r}")
-    e = by_id[edge_id]
-    try:
-        new_matrix, k, h = normalize(e.matrix)
-    except ValueError as exc:
-        raise ValueError(f"edge {e.id!r}: {exc}") from exc
-    vertices = dict(g.vertices)
-    vertices[e.src] = replace(vertices[e.src], b=vertices[e.src].b + k)
-    vertices[e.dst] = replace(vertices[e.dst], b=vertices[e.dst].b - h)
-    edges = tuple(replace(x, matrix=new_matrix) if x.id == edge_id else x for x in g.edges)
-    return DecompositionGraph(vertices, edges), EdgeMove(edge_id, k, h)
-
-
 def normalize_all(g: DecompositionGraph) -> tuple[DecompositionGraph, list[EdgeMove]]:
     """Normalize every edge in id order; returns the new graph and the moves.
 
+    Replacing an edge's A by A * U^k adds k to b at its source; replacing A
+    by U^h * A subtracts h from b at its target.  Both moves describe the
+    same manifold, so bounds computed before and after must agree.  On a
+    loop both shifts land on the same vertex, changing its b by k - h.
+
     One O(V + E) pass: each edge's matrix depends only on itself, and the b
     shifts add and commute, so they are summed per vertex and applied once.
-    The graph, the moves and any error equal those of folding normalize_edge
-    over the edges in id order: a label that cannot be normalized raises the
+    The graph, the moves and any error equal those of normalizing the edges
+    one at a time in id order: a label that cannot be normalized raises the
     ValueError of gl2.normalize with the edge id in front.
     """
     shift = dict.fromkeys(g.vertices, 0)

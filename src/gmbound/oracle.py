@@ -13,9 +13,14 @@ production shortcuts can be checked against it:
                      bounded |beta| and compares the continued fraction
                      formula with the flip-distance search.
 
-Only the value types, the default assignment cap, the penalty function f
-and cf_sum are shared with the production code; the search logic is written
-independently on purpose.
+From the production code it imports only the value types (Gl2Matrix, H,
+DecompositionGraph), the budget's default and error (DEFAULT_ASSIGNMENT_CAP,
+CapExceeded), int_text for its messages, the label predicates is_normalized
+and is_plus_minus_h, and matrix_complexity, the closed form verify_lemma
+checks.  From farey it imports the flip search it checks that with
+(TAU_MINUS, TAU_PLUS, act, farey_distance, complexity_by_search).  The
+penalty function f and the search logic are written here, independently on
+purpose.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded, f
-from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance, matrix_complexity
-from .gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h
+from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded
+from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance
+from .gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h, matrix_complexity
 from .graph import DecompositionGraph
 
-# the most candidate sets the spanning-tree enumeration checks by default
+# the most candidate sets the spanning-tree enumeration checks
 DEFAULT_TREE_CAP = 10**6
 
 
@@ -56,22 +61,23 @@ def _spans(vertex_ids, edges) -> bool:
     return len(seen) == len(vertex_ids)
 
 
-def _all_spanning_trees(g: DecompositionGraph, cap: int) -> list[tuple]:
+def _all_spanning_trees(g: DecompositionGraph) -> list[tuple]:
     """Every spanning tree as a tuple of edges, by checking all subsets of
     size |V| - 1.  A subset of that size spans exactly when it is a tree."""
     vids = list(g.vertices)
     non_loop = [e for e in g.edges if e.src != e.dst]
     total = math.comb(len(non_loop), len(vids) - 1)
-    if total > cap:
+    if total > DEFAULT_TREE_CAP:
         raise CapExceeded(
-            f"subset enumeration needs {int_text(total)} > cap {int_text(cap)} candidate sets", needed=total)
+            f"subset enumeration needs {int_text(total)} > cap {int_text(DEFAULT_TREE_CAP)} candidate sets",
+            needed=total)
     return [combo for combo in itertools.combinations(non_loop, len(vids) - 1)
             if _spans(vids, combo)]
 
 
-def bruteforce_phi(g: DecompositionGraph, cap: int = DEFAULT_TREE_CAP) -> int:
+def bruteforce_phi(g: DecompositionGraph) -> int:
     """Minimum number of H-edges outside a spanning tree, by full enumeration."""
-    trees = _all_spanning_trees(g, cap)
+    trees = _all_spanning_trees(g)
     if not trees:
         raise ValueError("graph has no spanning tree (disconnected)")
     h_total = sum(1 for e in g.edges if is_plus_minus_h(e.matrix))
@@ -91,6 +97,21 @@ class MinFResult:
     tree: tuple[str, ...] | None
     psi: tuple[tuple[str, str], ...]
     psi_prime: tuple[tuple[str, str], ...]
+
+
+def f(m: int, M: int, b: int) -> int:
+    """Distance of b from the window [m, M]: m - b below, b - M above, else 0.
+
+    Requires m < M, m <= 1 and M >= -1; violations signal an inadmissible
+    piece upstream and are rejected rather than clamped.
+    """
+    if not (m < M and m <= 1 and M >= -1):
+        raise ValueError(f"invalid penalty window m={m}, M={M}; need m < M, m <= 1, M >= -1")
+    if b < m:
+        return m - b
+    if b > M:
+        return b - M
+    return 0
 
 
 def _window_penalty_sum(g: DecompositionGraph, plus_extra, minus_extra) -> int:
@@ -145,12 +166,7 @@ def _add_six_valued(plus, minus, e, val) -> None:
         raise ValueError(f"bad six-valued sign {val!r}")
 
 
-def bruteforce_min_f(
-    g: DecompositionGraph,
-    mode: str,
-    tree_cap: int = DEFAULT_TREE_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> MinFResult:
+def bruteforce_min_f(g: DecompositionGraph, mode: str, *, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> MinFResult:
     """Exhaustive penalty minimum for the tree or general bookkeeping.
 
     mode "tree": minimize over sign assignments on all H-edges (no tree is
@@ -177,7 +193,7 @@ def bruteforce_min_f(
     if mode != "general":
         raise ValueError(f"mode must be 'tree' or 'general', got {mode!r}")
 
-    trees = _all_spanning_trees(g, tree_cap)
+    trees = _all_spanning_trees(g)
     if not trees:
         raise ValueError("graph has no spanning tree (disconnected)")
     h_total = len(h_edges)

@@ -54,6 +54,7 @@ def _grow(parent: list[int], links) -> list[str]:
     return added
 
 
+# checking code, which no production module calls; the benchmark checker imports it
 def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
     """Whether the given edge ids form a spanning tree of g."""
     listed = list(edge_ids)
@@ -62,12 +63,6 @@ def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
         return False
     links = _links(g, lambda e: e.id in ids)
     return len(_grow(list(range(len(g.vertices))), links)) == len(ids)
-
-
-def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
-    """Number of H-edges outside the tree, given by its edge ids."""
-    inside = set(tree)
-    return sum(1 for e in g.edges if e.id not in inside and is_plus_minus_h(e.matrix))
 
 
 def capital_phi(g: DecompositionGraph) -> int:

@@ -1,9 +1,17 @@
-"""Shared builders and seeded random generators for the test suite."""
+"""Shared builders, seeded random generators and reference helpers for the
+test suite.
+
+The reference helpers are plain, separate code that the tests check the
+package against: matrix products, one-edge normalization, phi of one tree,
+and the rewrites that change how a manifold is written down but not the
+manifold itself.
+"""
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from gmbound import (
     DecompositionGraph,
@@ -14,7 +22,98 @@ from gmbound import (
     handle_count,
     is_valid,
 )
-from gmbound.gl2 import H
+from gmbound.gl2 import H, is_plus_minus_h, normalize
+from gmbound.graph import EdgeMove, normalize_all
+
+# ---------------------------------------------------------------------------
+# reference helpers
+# ---------------------------------------------------------------------------
+
+IDENTITY = Gl2Matrix(1, 0, 0, 1)
+U = Gl2Matrix(1, 0, 1, 1)
+
+
+def compose(a: Gl2Matrix, b: Gl2Matrix) -> Gl2Matrix:
+    """Matrix product a * b."""
+    return Gl2Matrix(
+        a.alpha * b.alpha + a.beta * b.gamma,
+        a.alpha * b.beta + a.beta * b.delta,
+        a.gamma * b.alpha + a.delta * b.gamma,
+        a.gamma * b.beta + a.delta * b.delta,
+    )
+
+
+def power_u(k: int) -> Gl2Matrix:
+    """U^k in closed form: (1 0 / k 1), valid for any integer k."""
+    return Gl2Matrix(1, 0, k, 1)
+
+
+def normalize_edge(g: DecompositionGraph, edge_id: str) -> tuple[DecompositionGraph, EdgeMove]:
+    """Normalize one edge matrix, shifting the endpoint b parameters.
+
+    Replacing A by A * U^k adds k to b at the source; replacing A by U^h * A
+    subtracts h from b at the target.  Both moves describe the same manifold,
+    so bounds computed before and after must agree.  On a loop both shifts
+    land on the same vertex, changing its b by k - h.  A label that cannot
+    be normalized raises the ValueError of gl2.normalize with the edge id in
+    front, as in normalize_all.
+    """
+    by_id = {e.id: e for e in g.edges}
+    if edge_id not in by_id:
+        raise ValueError(f"no edge with id {edge_id!r}")
+    e = by_id[edge_id]
+    try:
+        new_matrix, k, h = normalize(e.matrix)
+    except ValueError as exc:
+        raise ValueError(f"edge {e.id!r}: {exc}") from exc
+    vertices = dict(g.vertices)
+    vertices[e.src] = replace(vertices[e.src], b=vertices[e.src].b + k)
+    vertices[e.dst] = replace(vertices[e.dst], b=vertices[e.dst].b - h)
+    edges = tuple(replace(x, matrix=new_matrix) if x.id == edge_id else x for x in g.edges)
+    return DecompositionGraph(vertices, edges), EdgeMove(edge_id, k, h)
+
+
+def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
+    """Number of H-edges outside the tree, given by its edge ids."""
+    inside = set(tree)
+    return sum(1 for e in g.edges if e.id not in inside and is_plus_minus_h(e.matrix))
+
+
+# ---------------------------------------------------------------------------
+# rewrites of the presentation: same manifold, another graph
+# ---------------------------------------------------------------------------
+
+
+def rename_ids(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph:
+    """Every vertex and edge under a fresh id, handed out in a random
+    permutation, so the id order of both changes."""
+    vids = [f"w{i:03d}" for i in range(len(g.vertices))]
+    eids = [f"x{i:03d}" for i in range(len(g.edges))]
+    rng.shuffle(vids)
+    rng.shuffle(eids)
+    new_vid = dict(zip(g.vertices, vids))
+    vertices = {new_vid[vid]: s for vid, s in g.vertices.items()}
+    edges = [Edge(eid, new_vid[e.src], new_vid[e.dst], e.matrix) for eid, e in zip(eids, g.edges)]
+    return build_graph(vertices, edges)
+
+
+def reverse_half(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph:
+    """A random half of the edges turned around, then normalize_all.
+
+    Reading an edge the other way swaps its ends and replaces M by
+    M^-1 = (-delta beta / gamma -alpha), its inverse at determinant -1;
+    that label is out of normal form unless delta = 0, so normalize_all
+    brings it back and shifts b at the ends to match."""
+    turned = set(rng.sample([e.id for e in g.edges], len(g.edges) // 2))
+    edges = [Edge(e.id, e.dst, e.src, Gl2Matrix(-e.matrix.delta, e.matrix.beta, e.matrix.gamma, -e.matrix.alpha))
+             if e.id in turned else e for e in g.edges]
+    return normalize_all(build_graph(g.vertices, edges))[0]
+
+
+def negate_half(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph:
+    """The matrices of a random half of the edges replaced by -M."""
+    flipped = set(rng.sample([e.id for e in g.edges], len(g.edges) // 2))
+    return build_graph(g.vertices, [replace(e, matrix=-e.matrix) if e.id in flipped else e for e in g.edges])
 
 # ---------------------------------------------------------------------------
 # fixed example graphs (expected values frozen after oracle confirmation)

@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from gmbound.bounds import bound_general, bound_regular, bound_tree
-from gmbound.farey import cf_sum, complexity_by_search
-from gmbound.gl2 import H, is_normalized, is_plus_minus_h, normalize
+from gmbound.farey import complexity_by_search
+from gmbound.gl2 import H, cf_sum, is_normalized, is_plus_minus_h, normalize
 from gmbound.graph import degree_stats, graph_from_json, graph_to_json
 from gmbound.oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
 from gmbound.seifert import handle_count

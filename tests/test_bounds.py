@@ -18,19 +18,25 @@ from gmbound.bounds import (
     bound_general,
     bound_regular,
     bound_tree,
-    f,
 )
-from gmbound.gl2 import H, Gl2Matrix, compose, power_u
-from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, normalize_all
-from gmbound.oracle import bruteforce_min_f
+from gmbound.gl2 import H, Gl2Matrix
+from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, is_valid, normalize_all
+from gmbound.oracle import bruteforce_min_f, f
 from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
+    compose,
     h_loops,
     h_pair,
+    negate_half,
     parallel_h,
+    power_u,
+    random_penalized_graph,
+    random_shaped_graph,
     random_valid_graph,
     regular_pair,
     regular_pair_shifted,
+    rename_ids,
+    reverse_half,
     single_loop,
 )
 
@@ -327,6 +333,31 @@ def test_bound_invariant_under_normalization_moves():
         restored, _ = normalize_all(messy_graph)
         assert restored == g
         assert best_bound(restored).total == reference.total
+
+
+def test_bound_invariant_under_presentation():
+    # new ids, edges read the other way and negated matrices write down the
+    # same manifold, so the total must not move; on graphs of up to 40
+    # pieces and 18 H-edges, past the oracles' reach, where renaming changes
+    # the order in which the search meets the edges
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(300):
+        closing = rng.randint(0, 2)
+        n = rng.randint(15, 40)
+        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
+    for shape in ("components", "star", "parallel", "loops"):
+        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
+    start = time.perf_counter()
+    for g in graphs:
+        reference = best_bound(g)
+        renamed, reversed_, negated = rename_ids(g, rng), reverse_half(g, rng), negate_half(g, rng)
+        assert is_valid(renamed) and is_valid(reversed_) and is_valid(negated)
+        reports = [best_bound(h) for h in (renamed, reversed_, negated)]
+        assert [r.total for r in reports] == [reference.total] * 3
+        assert reports[0].min_penalty == reference.min_penalty
+    assert time.perf_counter() - start < 15
+    assert {capital_phi(g) for g in graphs} == {0, 1, 2}
 
 
 def test_report_bytes_pinned():

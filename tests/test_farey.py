@@ -12,15 +12,13 @@ from gmbound.farey import (
     FareyTriangle,
     Slope,
     act,
-    cf_sum,
     complexity_by_search,
     cross,
     farey_distance,
-    matrix_complexity,
     slope,
     triangle,
 )
-from gmbound.gl2 import H, Gl2Matrix
+from gmbound.gl2 import H, Gl2Matrix, cf_sum, matrix_complexity
 from sample_graphs import random_normalized_matrix
 
 

@@ -4,19 +4,8 @@ import random
 
 import pytest
 
-from gmbound.gl2 import (
-    H,
-    IDENTITY,
-    U,
-    Gl2Matrix,
-    compose,
-    int_text,
-    is_normalized,
-    is_plus_minus_h,
-    normalize,
-    power_u,
-)
-from sample_graphs import random_det_minus_one_matrix
+from gmbound.gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h, normalize
+from sample_graphs import IDENTITY, U, compose, power_u, random_det_minus_one_matrix
 
 
 def test_determinant_enforced():

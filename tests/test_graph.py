@@ -8,9 +8,9 @@ from collections import Counter
 
 import pytest
 
-from gmbound import farey, gl2, graph
+from gmbound import gl2, graph
 from gmbound.bounds import best_bound
-from gmbound.gl2 import H, U, Gl2Matrix, compose, power_u
+from gmbound.gl2 import H, Gl2Matrix
 from gmbound.graph import (
     DecompositionGraph,
     DegreeStats,
@@ -26,12 +26,15 @@ from gmbound.graph import (
     graph_to_json,
     is_valid,
     normalize_all,
-    normalize_edge,
     validate,
 )
 from sample_graphs import (
+    U,
+    compose,
     h_pair,
+    normalize_edge,
     parallel_h,
+    power_u,
     random_valid_graph,
     regular_pair,
     regular_pair_shifted,
@@ -337,7 +340,7 @@ def test_load_path_checks_each_label_at_most_three_times(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(gl2, "_check_edge_label", counted("check", gl2._check_edge_label))
-    for module in (graph, farey):
+    for module in (graph, gl2):
         monkeypatch.setattr(module, "is_normalized", counted("is_normalized", module.is_normalized))
     monkeypatch.setattr(Gl2Matrix, "det", property(counted("det", Gl2Matrix.det.fget)))
     n = 60  # a cycle of non-normalized labels with every fifth edge +-H

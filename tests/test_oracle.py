@@ -10,7 +10,6 @@ from gmbound.bounds import CapExceeded, bound_general, bound_tree
 from gmbound.gl2 import Gl2Matrix, is_plus_minus_h
 from gmbound.graph import Edge, SeifertData, build_graph
 from gmbound.oracle import (
-    DEFAULT_TREE_CAP,
     LemmaFailure,
     LemmaReport,
     _all_spanning_trees,
@@ -20,11 +19,12 @@ from gmbound.oracle import (
     bruteforce_phi,
     verify_lemma,
 )
-from gmbound.spanning import capital_phi, optimal_trees, phi
+from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
     h_loops,
     h_pair,
     parallel_h,
+    phi,
     random_penalized_graph,
     random_shaped_graph,
     random_valid_graph,
@@ -120,7 +120,7 @@ def test_min_f_matches_production_on_h_shapes(shape, seed):
             general += 1
             production = bound_general(g)
             result = bruteforce_min_f(g, "general")
-            optimal = sum(1 for t in _all_spanning_trees(g, DEFAULT_TREE_CAP)
+            optimal = sum(1 for t in _all_spanning_trees(g)
                           if phi(g, tuple(e.id for e in t)) == target)
             shared += optimal > len(optimal_trees(g))
         assert result.value == production.min_penalty

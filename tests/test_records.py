@@ -8,10 +8,10 @@ from dataclasses import FrozenInstanceError, fields, replace
 import pytest
 
 from gmbound.bounds import BoundReport, VertexTerms, best_bound
-from gmbound.gl2 import H, U, Gl2Matrix
+from gmbound.gl2 import H, Gl2Matrix
 from gmbound.graph import DecompositionGraph, DegreeStats, Edge, EdgeMove, Violation
 from gmbound.seifert import SeifertData
-from sample_graphs import h_pair
+from sample_graphs import U, h_pair
 
 # record -> (instance, a field, another valid value for it)
 RECORDS = {

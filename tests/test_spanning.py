@@ -9,9 +9,9 @@ import pytest
 from gmbound.bounds import CapExceeded, best_bound
 from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
 from gmbound.graph import Edge, SeifertData, build_graph, is_valid
-from gmbound.oracle import DEFAULT_TREE_CAP, _all_spanning_trees, bruteforce_phi
-from gmbound.spanning import _grow, capital_phi, is_spanning_tree, optimal_trees, phi
-from sample_graphs import parallel_h, random_multigraph, single_loop
+from gmbound.oracle import _all_spanning_trees, bruteforce_phi
+from gmbound.spanning import _grow, capital_phi, is_spanning_tree, optimal_trees
+from sample_graphs import parallel_h, phi, random_multigraph, single_loop
 
 _DISK = SeifertData(0, ((2, 1), (2, 1)), 0)
 _M = Gl2Matrix(1, 2, 1, 1)
@@ -29,7 +29,7 @@ def _triangle_graph():
 
 def _all_trees(g):
     """Every spanning tree as an edge-id tuple, from the oracle's subset scan."""
-    return [tuple(e.id for e in tree) for tree in _all_spanning_trees(g, DEFAULT_TREE_CAP)]
+    return [tuple(e.id for e in tree) for tree in _all_spanning_trees(g)]
 
 
 def test_loops_never_enter_trees():
