@@ -218,6 +218,7 @@ def _search(layouts, short, over, index):
                 want[v] -= vw
                 steps.append((u, v, rows))
         bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
+        # a shortcut the cut makes redundant, kept as it skips the search of a layout that cannot win
         if bound >= least:
             continue
         picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
@@ -226,6 +227,7 @@ def _search(layouts, short, over, index):
             if depth == len(steps):
                 least = sums[depth]
                 best = (lack.copy(), want.copy(), tree, signed + outside, len(signed), steps, picks.copy())
+                # a shortcut the cut makes redundant, kept as it skips backtracking through cut nodes
                 if least == sums[0]:
                     break
                 depth -= 1

@@ -68,10 +68,10 @@ def _all_digits():
     """Lift Python's limit on int-to-string conversion inside the block.
 
     Python refuses to convert an int of more than 4300 digits to or from a
-    string, to keep parsing hostile input cheap.  A bound, or a b after
-    normalizing, of an accepted graph can be longer, so the limit is lifted
-    while such output is written and graph_from_json keeps it.  The k and h
-    of a move never outgrow the parsed entries.
+    string, to keep parsing hostile input cheap.  A bound, a penalty
+    minimum, or a b after normalizing, of an accepted graph can be longer,
+    so the limit is lifted while such output is written and graph_from_json
+    keeps it.  The k and h of a move never outgrow the parsed entries.
     """
     if not hasattr(sys, "get_int_max_str_digits"):  # Pythons without the limit
         yield
@@ -103,14 +103,21 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _report_moves(moves, stream) -> None:
+def _normalized(g: DecompositionGraph) -> DecompositionGraph | None:
+    """g with every edge normalized, after reporting the moves on stderr;
+    None, once the reason is printed, if a label cannot be normalized."""
+    try:
+        g, moves = normalize_all(g)
+    except ValueError as exc:
+        print(f"cannot normalize: {exc}", file=sys.stderr)
+        return None
     changed = [mv for mv in moves if mv.k or mv.h]
     if not changed:
-        print("all edges already normalized", file=stream)
-        return
+        print("all edges already normalized", file=sys.stderr)
     for mv in changed:
         print(f"edge {mv.edge_id}: k={mv.k}, h={mv.h}"
-              f" (b: source {mv.k:+d}, target {-mv.h:+d})", file=stream)
+              f" (b: source {mv.k:+d}, target {-mv.h:+d})", file=sys.stderr)
+    return g
 
 
 def _print_report(report, breakdown: bool = False) -> None:
@@ -125,12 +132,9 @@ def _print_report(report, breakdown: bool = False) -> None:
 def cmd_bound(args) -> int:
     g = _load(args.file)
     if args.normalize_first:
-        try:
-            g, moves = normalize_all(g)
-        except ValueError as exc:
-            print(f"cannot normalize: {exc}", file=sys.stderr)
+        g = _normalized(g)
+        if g is None:
             return EXIT_INVALID
-        _report_moves(moves, sys.stderr)
     if _print_issues(validate(g), sys.stderr):
         print("graph is not valid; see messages above", file=sys.stderr)
         return EXIT_INVALID
@@ -154,13 +158,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    g = _load(args.file)
-    try:
-        g, moves = normalize_all(g)
-    except ValueError as exc:
-        print(f"cannot normalize: {exc}", file=sys.stderr)
+    g = _normalized(_load(args.file))
+    if g is None:
         return EXIT_INVALID
-    _report_moves(moves, sys.stderr)
     with _all_digits():
         sys.stdout.write(graph_to_json(g))
     return EXIT_OK
@@ -207,12 +207,13 @@ def cmd_oracle_minf(args) -> int:
         ("psi'", production.witness_psi_prime or (), exhaustive.psi_prime),
     )
     differing = [(name, ours, theirs) for name, ours, theirs in compared if ours != theirs]
-    if not differing:
-        print(f"min penalty sum = {exhaustive.value}, witnesses equal"
-              f" (exhaustive = production, {mode} bookkeeping)")
-        return EXIT_OK
-    for name, ours, theirs in differing:
-        print(f"DISAGREEMENT: production {name} = {ours}, exhaustive {name} = {theirs}")
+    with _all_digits():
+        if not differing:
+            print(f"min penalty sum = {exhaustive.value}, witnesses equal"
+                  f" (exhaustive = production, {mode} bookkeeping)")
+            return EXIT_OK
+        for name, ours, theirs in differing:
+            print(f"DISAGREEMENT: production {name} = {ours}, exhaustive {name} = {theirs}")
     return EXIT_DISAGREE
 
 

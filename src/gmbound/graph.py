@@ -25,11 +25,13 @@ Each check runs in one place:
                    normalize checks the first two on its input only, as its
                    output is normalized by construction, and normalize_all
                    puts the edge id in front of its errors;
-  validate         admissibility: at least one edge, connected, every edge
-                   label normalized (one is_normalized call each, whose
-                   error becomes the violation), well-formed fibres, class S
-                   for the vertex degree, and the small-graph exclusions (i)
-                   and (ii)(a)-(c).
+  validate         admissibility: at least one edge, connected (asked of
+                   the union-find _grow below, which spanning shares for
+                   Phi and the optimal trees), every edge label normalized
+                   (one is_normalized call each, whose error becomes the
+                   violation), well-formed fibres, class S for the vertex
+                   degree, and the small-graph exclusions (i) and
+                   (ii)(a)-(c).
 """
 
 from __future__ import annotations
@@ -136,22 +138,35 @@ def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
     }
 
 
-def _connected(g: DecompositionGraph) -> bool:
-    if not g.vertices:
-        return False
-    adjacency = {vid: set() for vid in g.vertices}
-    for e in g.edges:
-        adjacency[e.src].add(e.dst)
-        adjacency[e.dst].add(e.src)
-    start = next(iter(g.vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(g.vertices)
+# ---------------------------------------------------------------------------
+# spanning forests
+# ---------------------------------------------------------------------------
+
+
+def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
+    """(id, source index, target index) of the edges that keep accepts, in id order."""
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    return [(e.id, index[e.src], index[e.dst]) for e in g.edges if keep(e)]
+
+
+def _find(parent: list[int], x: int) -> int:
+    # path halving: each step re-points x at its grandparent, so a chain
+    # that _grow built root to root is flattened while it is walked
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _grow(parent: list[int], links) -> list[str]:
+    """Add, in order, each link that joins two components of the union-find
+    parent; return the ids of the links added."""
+    added = []
+    for eid, u, v in links:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            added.append(eid)
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +210,9 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     if not g.edges:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
-    if not _connected(g):
+    n = len(g.vertices)
+    # a spanning forest of n vertices has n - 1 edges exactly when it is one tree
+    if len(_grow(list(range(n)), _links(g, lambda e: True))) != n - 1:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:

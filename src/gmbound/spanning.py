@@ -15,6 +15,10 @@ count known before the scan starts, which the bounds check against their
 budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
+Every forest is grown by the union-find of graph (_links, _grow), the one
+validate asks whether the graph is connected; this module keeps only the
+bound's forest questions.
+
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
 empty one.
@@ -25,33 +29,7 @@ from __future__ import annotations
 import itertools
 
 from .gl2 import is_plus_minus_h
-from .graph import DecompositionGraph
-
-
-def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
-    """(id, source index, target index) of the edges that keep accepts, in id order."""
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    return [(e.id, index[e.src], index[e.dst]) for e in g.edges if keep(e)]
-
-
-def _find(parent: list[int], x: int) -> int:
-    # path halving: each step re-points x at its grandparent, so a chain
-    # that _grow built root to root is flattened while it is walked
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
-def _grow(parent: list[int], links) -> list[str]:
-    """Add, in order, each link that joins two components of the union-find
-    parent; return the ids of the links added."""
-    added = []
-    for eid, u, v in links:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            added.append(eid)
-    return added
+from .graph import DecompositionGraph, _grow, _links
 
 
 # checking code, which no production module calls; the benchmark checker imports it

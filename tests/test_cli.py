@@ -49,6 +49,11 @@ LONG_SHIFT = json.dumps({  # normalizing moves each edge by k = -BIG at v1
               for eid in ("e1", "e2")],
 })
 
+LONG_MINF = json.dumps({  # one H-edge between two pieces with b = -BIG
+    "vertices": [{"id": vid, "g": 0, "fibres": [[2, 1], [2, 1]], "b": -BIG} for vid in ("v1", "v2")],
+    "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[0, 1], [1, 0]]}],
+})
+
 
 def _report_text(report, breakdown: bool = False) -> str:
     """What `bound` prints for a report, written with every digit."""
@@ -408,6 +413,18 @@ def test_normalize_prints_long_b_shifts(tmp_path):
     assert result.returncode == 0, result.stderr
     normalized, _ = normalize_all(graph_from_json(LONG_SHIFT))
     assert result.stdout == _report_text(best_bound(normalized))
+
+
+def test_oracle_minf_prints_every_digit(tmp_path):
+    path = tmp_path / "long_minf.json"
+    path.write_text(LONG_MINF)
+    result = run_cli("oracle", "minf", str(path))
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    with cli._all_digits():
+        expected = (f"min penalty sum = {2 * BIG - 4}, witnesses equal"
+                    " (exhaustive = production, tree bookkeeping)\n")
+    assert result.stdout == expected
 
 
 def test_bound_reports_a_long_cap_count(tmp_path):
