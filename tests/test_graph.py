@@ -17,6 +17,7 @@ from gmbound.graph import (
     Edge,
     GraphFormatError,
     SeifertData,
+    Violation,
     _matches_shifted_h,
     _matches_shifted_h_transposed,
     build_graph,
@@ -66,6 +67,21 @@ def test_build_graph_rejects_duplicate_edge_ids():
     v = {"v1": SeifertData(0, ((2, 1),), 0)}
     with pytest.raises(GraphFormatError):
         build_graph(v, [Edge("e1", "v1", "v1", H), Edge("e1", "v1", "v1", H)])
+
+
+_PIECE = SeifertData(0, ((2, 1),), 0)
+
+
+@pytest.mark.parametrize("vertices, edges, message", [
+    ({"": _PIECE}, [], "vertex ids must be non-empty strings"),
+    ({1: _PIECE}, [], "vertex ids must be non-empty strings"),
+    ({"v1": _PIECE}, [Edge("", "v1", "v1", H)], "edge ids must be non-empty strings"),
+    ({"v1": _PIECE}, [Edge(7, "v1", "v1", H)], "edge ids must be non-empty strings"),
+])
+def test_build_graph_rejects_empty_and_non_string_ids(vertices, edges, message):
+    with pytest.raises(GraphFormatError) as info:
+        build_graph(vertices, edges)
+    assert str(info.value) == message
 
 
 def test_degree_counts_loops_twice():
@@ -138,6 +154,17 @@ def test_connectivity_verdict_matches_a_plain_traversal():
 def test_validate_normalization_clause():
     g = two_disk_pieces(0, 0, Gl2Matrix(5, 3, 2, 1))
     assert _clauses(g) == ["normalization"]
+
+
+def test_validate_seifert_data_clause():
+    g = build_graph(
+        {"v1": SeifertData(0, ((4, 2), (2, 1)), 0), "v2": SeifertData(0, ((2, 1), (3, 1)), 0)},
+        [Edge("e1", "v1", "v2", Gl2Matrix(1, 2, 1, 1))],
+    )
+    assert validate(g) == [
+        Violation("seifert-data", "v1", "fibre pair (4, 2) must be coprime"),
+        Violation("seifert-data", "v1", "fibre pairs must be listed in non-decreasing order"),
+    ]
 
 
 def test_validate_class_s_clause():

@@ -1,9 +1,15 @@
-"""The production modules import no checking code: the flip search in farey
-and the brute-force oracles check the bound and are no part of it."""
+"""The production modules and the package root import no checking code: the
+flip search in farey and the brute-force oracles check the bound and are no
+part of it."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import gmbound
@@ -28,5 +34,24 @@ def _imports(module: str) -> set[str]:
 def test_production_modules_import_no_checking_code():
     checking = {"gmbound.farey", "gmbound.oracle"}
     found = {module: sorted(_imports(module) & checking)
-             for module in ("gl2", "seifert", "graph", "spanning", "bounds")}
+             for module in ("__init__", "gl2", "seifert", "graph", "spanning", "bounds")}
     assert found == dict.fromkeys(found, [])
+
+
+def test_the_package_root_loads_and_exports_only_its_api():
+    """A fresh `import gmbound` loads no checking code and no CLI, and its
+    public names, modules aside, are exactly `__all__`."""
+    probe = textwrap.dedent("""
+        import json, sys, types, gmbound
+        print(json.dumps({
+            "loaded": sorted(m for m in ("gmbound.oracle", "gmbound.farey", "gmbound.cli") if m in sys.modules),
+            "exported": sorted(n for n, v in vars(gmbound).items()
+                               if not n.startswith("_") and not isinstance(v, types.ModuleType)),
+            "all": sorted(gmbound.__all__),
+        }))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    found = json.loads(out.stdout)
+    assert found["loaded"] == []
+    assert found["exported"] == found["all"]

@@ -5,10 +5,10 @@ from gmbound.seifert import SeifertData, fibre_problems, handle_count, validate_
 
 def test_fibre_problems_flags_bad_pairs():
     assert fibre_problems(SeifertData(0, ((2, 1), (5, 3)))) == []
-    assert fibre_problems(SeifertData(0, ((2, 2),)))  # not coprime
-    assert fibre_problems(SeifertData(0, ((2, 3),)))  # q >= p
-    assert fibre_problems(SeifertData(0, ((1, 0),)))  # q < 1
-    assert fibre_problems(SeifertData(0, ((3, 2), (2, 1))))  # not sorted
+    assert fibre_problems(SeifertData(0, ((4, 2),))) == ["fibre pair (4, 2) must be coprime"]
+    assert fibre_problems(SeifertData(0, ((2, 3),))) == ["fibre pair (2, 3) must satisfy 0 < q < p"]
+    assert fibre_problems(SeifertData(0, ((1, 0),))) == ["fibre pair (1, 0) must satisfy 0 < q < p"]
+    assert fibre_problems(SeifertData(0, ((3, 2), (2, 1)))) == ["fibre pairs must be listed in non-decreasing order"]
     assert fibre_problems(SeifertData(0, ((2, 1), (2, 1)))) == []  # repeats allowed
 
 

@@ -72,6 +72,15 @@ def test_optimal_trees_keep_all_minimisers():
     assert best == (("e1",), ("e2",))
 
 
+def test_optimal_trees_refuse_a_disconnected_graph():
+    g = build_graph(
+        {"v1": _DISK, "v2": _DISK, "v3": _DISK},
+        [Edge("e1", "v1", "v2", H), Edge("e2", "v3", "v3", _M)],
+    )
+    with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
+        optimal_trees(g)
+
+
 def test_tree_cap():
     # doubled 4-cycle of H-edges: 4 * 2^3 = 32 spanning trees, each holding
     # a different set of H-edges, so all 32 are returned as optimal trees
