@@ -6,7 +6,9 @@ one budget: bound's --max-assignments, else MC_MAX_ASSIGNMENTS, else
 DEFAULT_ASSIGNMENT_CAP; the other commands ignore the variable.
 Exit codes: 0 ok, 1 invalid graph or inapplicable evaluator, 2 unreadable or
 malformed input or a bad cap value, 3 search cap exceeded, 4 oracle
-disagreement.  All output is deterministic for a given input.
+disagreement.  REFUSALS is the one place that maps an exception to its exit
+code and message prefix: main prints the refusal on stderr, batch on stdout
+under the file's header.  All output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,6 +39,20 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_DISAGREE = 4
+
+# exception -> (exit code, message prefix) for an input the commands refuse
+REFUSALS = {
+    GraphFormatError: (EXIT_PARSE, "parse error"),
+    CapExceeded: (EXIT_CAP, "cap exceeded"),
+    TheoremInapplicable: (EXIT_INVALID, "inapplicable"),
+}
+
+
+def _refuse(exc: Exception, stream) -> int:
+    """Print the refusal line for exc on stream; returns its exit code."""
+    code, prefix = REFUSALS[type(exc)]
+    print(f"{prefix}: {exc}", file=stream)
+    return code
 
 
 def _load(path: str | Path) -> DecompositionGraph:
@@ -140,19 +157,14 @@ def cmd_bound(args) -> int:
         return EXIT_INVALID
 
     cap = args.max_assignments
-    try:
-        if args.theorem == "regular":
-            report = bound_regular(g)
-        elif args.theorem == "tree":
-            report = bound_tree(g, assignment_cap=cap)
-        elif args.theorem == "general":
-            report = bound_general(g, assignment_cap=cap)
-        else:
-            report = best_bound(g, assignment_cap=cap)
-    except TheoremInapplicable as exc:
-        print(f"inapplicable: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    if args.theorem == "regular":
+        report = bound_regular(g)
+    elif args.theorem == "tree":
+        report = bound_tree(g, assignment_cap=cap)
+    elif args.theorem == "general":
+        report = bound_general(g, assignment_cap=cap)
+    else:
+        report = best_bound(g, assignment_cap=cap)
     _print_report(report, args.breakdown)
     return EXIT_OK
 
@@ -227,24 +239,13 @@ def cmd_batch(args) -> int:
         print(f"== {path.name}")
         try:
             g = _load(path)
-        except GraphFormatError as exc:
-            print(f"parse error: {exc}")
-            worst = max(worst, EXIT_PARSE)
-            print()
-            continue
-        if _print_issues(validate(g), sys.stdout):
-            worst = max(worst, EXIT_INVALID)
-            print()
-            continue
-        print("ok")
-        try:
-            report = best_bound(g, assignment_cap=args.max_assignments)
-        except CapExceeded as exc:
-            print(f"cap exceeded: {exc}")
-            worst = max(worst, EXIT_CAP)
-            print()
-            continue
-        _print_report(report)
+            if _print_issues(validate(g), sys.stdout):
+                worst = max(worst, EXIT_INVALID)
+            else:
+                print("ok")
+                _print_report(best_bound(g, assignment_cap=args.max_assignments))
+        except tuple(REFUSALS) as exc:
+            worst = max(worst, _refuse(exc, sys.stdout))
         print()
     return worst
 
@@ -310,15 +311,20 @@ def main(argv=None) -> int:
             parser.error(f"MC_MAX_ASSIGNMENTS {exc}")
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    except tuple(REFUSALS) as exc:
+        return _refuse(exc, sys.stderr)
 
 
 def main_exit() -> None:
+    """The console entry point: main on the process's own streams.
+
+    Text stdout cannot encode prints as backslash escapes, as Python prints
+    it on stderr, and a reader that closes stdout early ends the run by
+    SIGPIPE, as it ends cat, instead of in a BrokenPipeError traceback.
+    """
+    sys.stdout.reconfigure(errors="backslashreplace")
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

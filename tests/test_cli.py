@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,15 @@ LONG_MINF = json.dumps({  # one H-edge between two pieces with b = -BIG
     "vertices": [{"id": vid, "g": 0, "fibres": [[2, 1], [2, 1]], "b": -BIG} for vid in ("v1", "v2")],
     "edges": [{"id": "e1", "from": "v1", "to": "v2", "matrix": [[0, 1], [1, 0]]}],
 })
+
+# a non-normalized edge whose id is a lone surrogate, which JSON allows and
+# no UTF-8 stream can encode
+LONE_SURROGATE = json.dumps({
+    "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0},
+                 {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": 0}],
+    "edges": [{"id": "\ud800", "from": "v1", "to": "v2", "matrix": [[3, 2], [2, 1]]}],
+})
+H_PAIR_BLOCK = "ok\ntheorem: tree\nbound: 7\n\n"
 
 
 def _report_text(report, breakdown: bool = False) -> str:
@@ -481,3 +491,80 @@ def test_readme_lists_the_bound_options():
     defined = {flag for action in commands.choices["bound"]._actions if action.dest != "help"
                for flag in action.option_strings}
     assert listed == defined
+
+
+@pytest.mark.parametrize("theorem, fixture, message", [
+    ("regular", "h_pair.json", "regular evaluator needs a graph without +-H edges, found ['e1']"),
+    ("tree", "parallel_h.json", "tree evaluator needs every +-H edge inside one spanning tree"),
+])
+def test_inapplicable_refusals_pinned(theorem, fixture, message):
+    result = run_cli("bound", "--theorem", theorem, str(FIXTURES / fixture))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"inapplicable: {message}\n"
+
+
+def test_bound_parse_error_pinned(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{"vertices": [')
+    result = run_cli("bound", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "parse error: invalid JSON: Expecting value: line 1 column 15 (char 14)\n"
+
+
+def test_batch_refusals_pinned(tmp_path):
+    # one file per way batch ends a block: ok, parse error, invalid, cap exceeded
+    (tmp_path / "a.json").write_text((FIXTURES / "h_pair.json").read_text())
+    (tmp_path / "b.json").write_text('{"vertices": [')
+    (tmp_path / "c.json").write_text((FIXTURES / "invalid_h_pair.json").read_text())
+    (tmp_path / "d.json").write_text(graph_to_json(h_loops(12)))
+    result = run_cli("batch", str(tmp_path))
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert result.stdout == (
+        "== a.json\n" + H_PAIR_BLOCK
+        + "== b.json\nparse error: invalid JSON: Expecting value: line 1 column 15 (char 14)\n\n"
+        "== c.json\n(ii)(a) e1: +-H gluing of two (2,1)(2,1) disk pieces with b = (0, 0)\n\n"
+        "== d.json\n"
+        + "".join(f"note e{i:05d}: loop edge (admitted; never part of a spanning tree)\n" for i in range(12))
+        + "ok\ncap exceeded: assignment search needs 2176782336 > cap 1048576 assignments\n\n"
+    )
+
+
+def test_unencodable_messages_print_as_escapes(tmp_path):
+    path = tmp_path / "lone_surrogate.json"
+    path.write_text(LONE_SURROGATE)
+    result = run_cli("validate", str(path), env_extra={"PYTHONIOENCODING": "utf-8"})
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stdout == "normalization \\ud800: matrix is not normalized\n"
+
+
+def test_batch_prints_an_undecodable_file_name_as_an_escape(tmp_path):
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"\xff.json"), "wb") as out:
+            out.write((FIXTURES / "h_pair.json").read_bytes())
+    except OSError:
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    result = run_cli("batch", str(tmp_path), env_extra={"PYTHONIOENCODING": "utf-8"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "== \\udcff.json\n" + H_PAIR_BLOCK
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_run_by_sigpipe(tmp_path):
+    # 1500 blocks of 47 bytes: more than a 64 KiB pipe holds, so the run
+    # cannot finish before the reader closes its end
+    text = (FIXTURES / "h_pair.json").read_text()
+    for i in range(1500):
+        (tmp_path / f"h_pair_{i:04d}.json").write_text(text)
+    env = dict(os.environ)
+    env.pop("MC_MAX_ASSIGNMENTS", None)
+    with subprocess.Popen([sys.executable, "-m", "gmbound", "batch", str(tmp_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env) as proc:
+        assert proc.stdout.readline() == b"== h_pair_0000.json\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in stderr
