@@ -18,6 +18,12 @@ over it:
                   through T & H; signs on T & H and one of six values on
                   each H-edge left outside, paying Phi(G) for those.
 
+The search reads an instance of plain integers: per vertex m - b and
+b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
+vertex indices, the format of graph's union-find.  _bound alone turns a
+graph into that instance, so tests can pin the search on instances built
+directly.
+
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
 then signs with + before -, then six values in the order ++, +, +-, -+, -,
@@ -182,13 +188,18 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _search(layouts, short, over, index):
+def _search(layouts, short, over):
     """First labeling of least penalty sum over all layouts.
 
-    A layout is (tree, signed H-edges, six-valued H-edges); short and over
-    hold each vertex's m - b and b - M before any label, indexed as in
-    index, so its penalty is whichever of the two is positive, or 0.
-    Returns (per-vertex penalties, tree, psi, psi').
+    An instance is plain integers and ids.  A layout is (tree, signed,
+    outside): the witness tree, or None, then the signed and the
+    six-valued H-edges, each an (id, u, v) link of vertex indices, source
+    first, in the order they are labeled.  short and over are lists holding
+    each vertex's m - b and b - M before any label; its penalty is the sum
+    of their positive parts once the labels take d- off short and d+ off
+    over.  Returns
+    (per-vertex penalties, tree, psi, psi'), psi and psi' as (id, label)
+    pairs.
 
     Each layout is searched depth first without recursion, one edge per
     depth: picks[d] is the next label to try there, sums[d] the bound at
@@ -207,8 +218,7 @@ def _search(layouts, short, over, index):
         # slot n stands in for the second end of a loop
         lack, want, steps = short + [0], over + [0], []
         for group, tables in ((signed, _SIGN_TABLES), (outside, _PSI_PRIME_TABLES)):
-            for e in group:
-                u, v = index[e.src], index[e.dst]
+            for _, u, v in group:
                 rows, (ul, uw, vl, vw) = tables[u == v]
                 if u == v:
                     v = n
@@ -261,7 +271,7 @@ def _search(layouts, short, over, index):
             break
     lack, want, tree, edges, n_signed, steps, picks = best
     pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
-    witness = tuple([(e.id, rows[p - 1][0]) for e, (_, _, rows), p in zip(edges, steps, picks)])
+    witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _), (_, _, rows), p in zip(edges, steps, picks)])
     return pens, tree, witness[:n_signed], witness[n_signed:]
 
 
@@ -287,19 +297,21 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         raise CapExceeded(
             f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
             needed=count)
+    # the search reads vertex indices; the H-edges are resolved once, here
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    h_links = [(e.id, index[e.src], index[e.dst]) for e in h_edges]
     if theorem == "general":
         layouts = []
         # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
         # subsets, so the check above is its only budget
         for tree in optimal_trees(g):
             inside = set(tree)
-            layouts.append((tree, [e for e in h_edges if e.id in inside],
-                            [e for e in h_edges if e.id not in inside]))
+            layouts.append((tree, [link for link in h_links if link[0] in inside],
+                            [link for link in h_links if link[0] not in inside]))
     else:
-        layouts = [(None, h_edges, [])]
+        layouts = [(None, h_links, [])]
 
     stats = degree_stats(g)
-    index = {vid: i for i, vid in enumerate(g.vertices)}
     short, over, fixed = [], [], []
     for vid, s in g.vertices.items():
         r, h, st = len(s.fibres), handle_count(s), stats[vid]
@@ -314,7 +326,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         short.append(m - s.b)
         over.append(s.b - M)
         fixed.append((3 * (st.d + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))
-    pens, tree, psi, psi_prime = _search(layouts, short, over, index)
+    pens, tree, psi, psi_prime = _search(layouts, short, over)
 
     cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
     edge_terms = tuple([(e.id, matrix_complexity(e.matrix)) for e in rest])

@@ -67,12 +67,12 @@ def _at_least(low: int, wording: str):
     """An argparse type for an integer >= low; wording names it in errors."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            pass
-        else:
+            with _all_digits():  # an integer of any length, a cap included
+                value = int(text)
             if value >= low:
                 return value
+        except ValueError:
+            pass
         raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
     return parse
 
@@ -88,7 +88,9 @@ def _all_digits():
     string, to keep parsing hostile input cheap.  A bound, a penalty
     minimum, or a b after normalizing, of an accepted graph can be longer,
     so the limit is lifted while such output is written and graph_from_json
-    keeps it.  The k and h of a move never outgrow the parsed entries.
+    keeps it.  The k and h of a move never outgrow the parsed entries.  An
+    integer given on the command line or in MC_MAX_ASSIGNMENTS is read with
+    the limit lifted too, so any non-negative integer is a cap.
     """
     if not hasattr(sys, "get_int_max_str_digits"):  # Pythons without the limit
         yield

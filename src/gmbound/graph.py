@@ -115,8 +115,8 @@ class DegreeStats:
     d_zero: int
 
 
-# no production module calls it (validate counts degrees in degree_stats); the
-# benchmark's traced run wraps it
+# no production module calls it (validate counts its own degrees, and only
+# bounds._bound calls degree_stats); the benchmark's traced run wraps it
 def degree(g: DecompositionGraph, vid: str) -> int:
     return sum((e.src == vid) + (e.dst == vid) for e in g.edges)
 

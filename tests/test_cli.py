@@ -256,6 +256,16 @@ def test_every_search_reads_the_budget_from_the_environment(tmp_path):
         assert "MC_MAX_ASSIGNMENTS must be a non-negative integer" in result.stderr
 
 
+def test_a_cap_may_have_any_number_of_digits():
+    # 4301 digits, more than Python converts from a string by default
+    cap = "9" * 4301
+    default = run_cli("bound", str(FIXTURES / "parallel_h.json"))
+    assert default.returncode == 0
+    for result in (run_cli("bound", "--max-assignments", cap, str(FIXTURES / "parallel_h.json")),
+                   run_cli("bound", str(FIXTURES / "parallel_h.json"), env_extra={"MC_MAX_ASSIGNMENTS": cap})):
+        assert (result.returncode, result.stdout, result.stderr) == (0, default.stdout, "")
+
+
 def test_commands_that_do_not_search_ignore_the_budget():
     env = {"MC_MAX_ASSIGNMENTS": "x"}
     assert run_cli("validate", str(FIXTURES / "regular_pair.json"), env_extra=env).returncode == 0

@@ -1,0 +1,198 @@
+"""The labeling search against a plain brute force, on a complete finite box.
+
+bounds._search reads instances of plain integers: short and over hold each
+vertex's m - b and b - M, and each layout is (tree, signed, outside), its
+H-edges (id, u, v) links of vertex indices.  A labeling takes d- off short
+and d+ off over at every vertex, so a vertex pays
+max(0, short - d-) + max(0, over - d+), and the search returns the first
+labeling of least sum in enumeration order.
+
+Why the box is complete over windows.  Let d be the most the labels can
+take off a vertex: 1 per signed end and 2 per six-valued end.  A short <= 0
+behaves as 0 and a short >= d as d plus a constant, which moves neither the
+least sum's argmin nor the first minimizer; the same holds for over.  When
+short + over < 0 at most one of the two is positive, so the vertex has one
+window class t in [-d, d], written here as short = t, over = -1 - t.  The
+box takes t from -(d + 1) to d + 1 at every vertex, one past each end, on
+every listed shape.  So it is complete over windows for those shapes, not
+over shapes.  In a valid graph, short and over can both be positive only
+at a vertex with three or more H-edge ends; the random draws at the end
+cover such windows.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+from gmbound.bounds import _search
+
+# (source d+, source d-, target d+, target d-) of each label, in enumeration
+# order, as the bound_tree and bound_general docstrings state them: a sign
+# + raises M by one at both ends and - lowers m by one at both ends; ++
+# adds (2, 1) to the d+ of (source, target), + adds (1, 2), +- adds 1 to
+# the source d+ and 1 to the target d-, -+ mirrors +-, and - and -- mirror
+# + and ++ on d-
+SIGNS = (("+", (1, 0, 1, 0)), ("-", (0, 1, 0, 1)))
+SIX_VALUES = (
+    ("++", (2, 0, 1, 0)),
+    ("+", (1, 0, 2, 0)),
+    ("+-", (1, 0, 0, 1)),
+    ("-+", (0, 1, 1, 0)),
+    ("-", (0, 1, 0, 2)),
+    ("--", (0, 2, 0, 1)),
+)
+
+
+def brute_force(layouts, short, over):
+    """Score every labeling of every layout in order; keep the first least."""
+    best = least = None
+    for tree, signed, outside in layouts:
+        edges = signed + outside
+        for labeling in itertools.product(*[SIGNS] * len(signed), *[SIX_VALUES] * len(outside)):
+            plus, minus = [0] * len(short), [0] * len(short)
+            for (_, u, v), (_, (up, um, vp, vm)) in zip(edges, labeling):
+                plus[u] += up
+                minus[u] += um
+                plus[v] += vp
+                minus[v] += vm
+            pens = [max(0, s - m) + max(0, o - p) for s, o, m, p in zip(short, over, minus, plus)]
+            if least is None or sum(pens) < least:
+                least = sum(pens)
+                labels = tuple((eid, label) for (eid, _, _), (label, _) in zip(edges, labeling))
+                best = (pens, tree, labels[:len(signed)], labels[len(signed):])
+    return best
+
+
+def _links(pairs, first=0):
+    return [(f"e{first + i}", u, v) for i, (u, v) in enumerate(pairs)]
+
+
+def _root(parent, x):
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+def _forests(n):
+    """Every forest on vertices 0..n-1, in id order, each edge (u, v) with
+    u < v: a sign takes the same off both ends, so the direction of a
+    signed edge only swaps the search's two slots, and the random draws
+    cover it."""
+    for k in range(n):
+        for pairs in itertools.combinations(itertools.combinations(range(n), 2), k):
+            parent = list(range(n))
+            for u, v in pairs:
+                ru, rv = _root(parent, u), _root(parent, v)
+                if ru == rv:
+                    break
+                parent[ru] = rv
+            else:
+                yield pairs
+
+
+def _reach(n, signed, outside):
+    """The most the labels can take off each vertex's short, or its over."""
+    d = [0] * n
+    for per_end, group in ((1, signed), (2, outside)):
+        for _, u, v in group:
+            d[u] += per_end
+            d[v] += per_end
+    return d
+
+
+def _box(n, signed_pairs, outside_pairs):
+    """The instances of one shape: every window class, one past each end."""
+    signed = _links(signed_pairs)
+    outside = _links(outside_pairs, len(signed))
+    layouts = [(("t",), signed, outside)]
+    for ts in itertools.product(*[range(-d - 1, d + 2) for d in _reach(n, signed, outside)]):
+        yield layouts, list(ts), [-1 - t for t in ts]
+
+
+def _mismatches(instances):
+    return [(layouts, short, over) for layouts, short, over in instances
+            if _search(layouts, short, over) != brute_force(layouts, short, over)]
+
+
+def box_signed_forests():
+    """Signed forests on at most 4 vertices, nothing six-valued."""
+    for n in range(1, 5):
+        for forest in _forests(n):
+            yield from _box(n, forest, [])
+
+
+def box_one_six_valued():
+    """One six-valued edge or loop beside a signed forest on at most 3 vertices."""
+    for n in range(1, 4):
+        for forest in _forests(n):
+            for pair in itertools.product(range(n), repeat=2):
+                yield from _box(n, forest, [pair])
+
+
+def box_two_six_valued():
+    """Two six-valued edges or loops beside a signed forest on at most 2
+    vertices.  A search that leaves the target's over out of a node's bound
+    passes the boxes above; two parallel six-valued edges catch it."""
+    for n in (1, 2):
+        for forest in _forests(n):
+            for pairs in itertools.product(itertools.product(range(n), repeat=2), repeat=2):
+                yield from _box(n, forest, list(pairs))
+
+
+def random_instances(count, seed):
+    """Larger shapes from the same classes: a signed forest on up to 8
+    vertices and one or two six-valued edges or loops, with short and over
+    drawn independently, so both can be positive.  A quarter of the
+    instances repeat their layout as a second one, so the two tie, and
+    another quarter add a second layout that splits the same edges anew."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        parent, pairs = list(range(n)), []
+        for _ in range(rng.randint(0, n - 1)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                pairs.append((u, v))
+        pool = pairs + [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))]
+        links = _links(pool)
+        layouts = [(("t0",), links[:len(pairs)], links[len(pairs):])]
+        if rng.random() < 0.25:
+            layouts.append((("t1",), *layouts[0][1:]))
+        elif rng.random() < 1 / 3:
+            inside = set(rng.sample(links, len(pairs)))
+            layouts.append((("t1",), [e for e in links if e in inside], [e for e in links if e not in inside]))
+        d = [max(ds) for ds in zip(*[_reach(n, signed, outside) for _, signed, outside in layouts])]
+        yield (layouts, [rng.randint(-k - 1, k + 1) for k in d], [rng.randint(-k - 1, k + 1) for k in d])
+
+
+def test_brute_force_scores_a_known_instance():
+    # one six-valued edge 0 -> 1; vertex 0 is 2 short of its window and
+    # vertex 1 is 1 over it: -+ takes 1 off the source's short and 1 off
+    # the target's over, leaving 1 + 0, and -- takes 2 off the source's
+    # short only, leaving 0 + 1, the same sum but later
+    layouts = [(None, [], [("e0", 0, 1)])]
+    expected = ([1, 0], None, (), (("e0", "-+"),))
+    assert brute_force(layouts, [2, -2], [-3, 1]) == expected
+    assert _search(layouts, [2, -2], [-3, 1]) == expected
+
+
+def test_search_matches_brute_force_on_signed_forests():
+    assert not _mismatches(box_signed_forests())
+
+
+def test_search_matches_brute_force_with_one_six_valued_edge():
+    assert not _mismatches(box_one_six_valued())
+
+
+def test_search_matches_brute_force_with_two_six_valued_edges():
+    assert not _mismatches(box_two_six_valued())
+
+
+def test_search_matches_brute_force_on_random_larger_shapes():
+    instances = list(random_instances(600, seed=10))
+    assert any(len(layouts) == 2 and layouts[0][1:] == layouts[1][1:] for layouts, _, _ in instances)
+    assert any(s > 0 and o > 0 for _, short, over in instances for s, o in zip(short, over))
+    assert not _mismatches(instances)
