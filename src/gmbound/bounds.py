@@ -5,18 +5,24 @@ one term cf_sum(|beta|, |delta|) - 1 per non-H edge, plus a vertex term
 3(d + r + 2h - 2) + sum(cf_sum(p, q) - 2) per piece, plus the least sum of
 penalties f, one per vertex, each measuring how far b lies from a window
 [m, M] set by the degree bookkeeping.  One search minimizes that penalty
-sum over layouts, each a spanning tree (or none) with its H-edges split
-into signed ones and six-valued ones; the three theorems are three labels
-over it:
+sum over layouts, each a spanning tree with its H-edges split into signed
+ones and six-valued ones.  Every layout comes from optimal_trees: one per
+distinct set T & H of H-edges inside an optimal spanning tree T, taking the
+first such tree, since the penalties depend on T only through T & H.  A
+disconnected or empty graph has no spanning tree, so every evaluator
+refuses it.  The three theorems are three labels over the search:
 
-  bound_regular   no H-edges: one empty layout, nothing to choose;
+  bound_regular   no H-edges: the one layout optimal_trees gives, with
+                  nothing to label;
   bound_tree      every H-edge fits into a single spanning tree (Phi = 0):
-                  one layout with a sign + or - on every H-edge;
-  bound_general   arbitrary graphs: one layout per distinct set T & H of
-                  H-edges inside an optimal spanning tree T, taking the
-                  first such tree, since the penalties depend on T only
-                  through T & H; signs on T & H and one of six values on
-                  each H-edge left outside, paying Phi(G) for those.
+                  the one layout optimal_trees gives, with a sign + or -
+                  on every H-edge;
+  bound_general   arbitrary graphs: every layout optimal_trees gives; signs
+                  on T & H and one of six values on each H-edge left
+                  outside, paying Phi(G) for those.
+
+Only bound_general reports its tree as a witness; the other two have a
+single tree and report None.
 
 The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
@@ -39,11 +45,12 @@ search, witnesses included.
 
 The assignment cap is the search's one budget.  It counts the labelings of
 a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
-tree is enumerated.  It bounds the tree scan as well: the layouts are the
-bases of the H-subgraph's graphic matroid, found by checking the
-comb(|H|, Phi) subsets of H of its rank, and comb(|H|, Phi) <= 2^|H| is no
-more than that count.  So the budget bounds the scan's work, not only the
-layouts it finds, before anything is enumerated.
+tree is enumerated.  It bounds the tree scan as well, which runs in every
+mode: the layouts are the bases of the H-subgraph's graphic matroid, found
+by checking the comb(|H|, Phi) subsets of H of its rank (one subset, all
+of H, when Phi = 0), and comb(|H|, Phi) <= 2^|H| is no more than that
+count.  So the budget bounds the scan's work, not only the layouts it
+finds, before anything is enumerated.
 
 A window must satisfy m < M, m <= 1, M >= -1, where the paper defines f
 (oracle.f rejects any other window); labels only widen it, so each vertex
@@ -147,7 +154,8 @@ class BoundReport:
     total always equals cycle_term + phi_term + the edge terms + the vertex
     terms; min_penalty is the winning penalty sum and equals the sum of the
     per-vertex penalty entries.  Witness fields are None when the evaluator
-    had nothing to choose (regular has no assignment, tree no tree).
+    had nothing to choose (regular has no assignment, tree and regular a
+    single tree).
     """
 
     theorem: str
@@ -192,14 +200,15 @@ def _search(layouts, short, over):
     """First labeling of least penalty sum over all layouts.
 
     An instance is plain integers and ids.  A layout is (tree, signed,
-    outside): the witness tree, or None, then the signed and the
-    six-valued H-edges, each an (id, u, v) link of vertex indices, source
-    first, in the order they are labeled.  short and over are lists holding
+    outside): the witness tree, then the signed and the six-valued
+    H-edges, each an (id, u, v) link of vertex indices, source first, in
+    the order they are labeled.  short and over are lists holding
     each vertex's m - b and b - M before any label; its penalty is the sum
     of their positive parts once the labels take d- off short and d+ off
     over.  Returns
     (per-vertex penalties, tree, psi, psi'), psi and psi' as (id, label)
-    pairs.
+    pairs.  _bound passes the trees of optimal_trees; a tree of None comes
+    only from instances built directly, as tests/test_search.py builds them.
 
     Each layout is searched depth first without recursion, one edge per
     depth: picks[d] is the next label to try there, sums[d] the bound at
@@ -300,16 +309,14 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     # the search reads vertex indices; the H-edges are resolved once, here
     index = {vid: i for i, vid in enumerate(g.vertices)}
     h_links = [(e.id, index[e.src], index[e.dst]) for e in h_edges]
-    if theorem == "general":
-        layouts = []
-        # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
-        # subsets, so the check above is its only budget
-        for tree in optimal_trees(g):
-            inside = set(tree)
-            layouts.append((tree, [link for link in h_links if link[0] in inside],
-                            [link for link in h_links if link[0] not in inside]))
-    else:
-        layouts = [(None, h_links, [])]
+    layouts = []
+    # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
+    # subsets, so the check above is its only budget; it also refuses a
+    # disconnected or empty graph, before any window is checked
+    for tree in optimal_trees(g):
+        inside = set(tree)
+        layouts.append((tree, [link for link in h_links if link[0] in inside],
+                        [link for link in h_links if link[0] not in inside]))
 
     stats = degree_stats(g)
     short, over, fixed = [], [], []
@@ -341,7 +348,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
         min_penalty=min_penalty,
-        witness_tree=tree,
+        witness_tree=tree if theorem == "general" else None,
         witness_psi=None if theorem == "regular" else psi,
         witness_psi_prime=psi_prime if theorem == "general" else None,
     )

@@ -257,6 +257,23 @@ def random_multigraph(
     return build_graph(vertices, edges)
 
 
+def connectivity_sweep() -> list[DecompositionGraph]:
+    """502 seeded graphs of which about half are disconnected: the empty
+    graph, one bare piece, and random multigraphs, loops and parallel edges
+    kept, with some edges dropped and some isolated pieces added."""
+    rng = random.Random(13)
+    piece = SeifertData(0, ((2, 1), (2, 1)), 0)
+    graphs = [DecompositionGraph({}, ()), DecompositionGraph({"v1": piece}, ())]
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        g = random_multigraph(rng, n, rng.randint(n, n + 4))
+        vertices = dict(g.vertices)
+        for i in range(rng.choice((0, 0, 0, 1, 2))):
+            vertices[f"w{i + 1}"] = piece
+        graphs.append(build_graph(vertices, [e for e in g.edges if rng.random() < 0.9]))
+    return graphs
+
+
 def _random_piece(rng: random.Random, degree: int, p_max: int, b_max: int) -> SeifertData:
     """Seifert data passing the class-S inequality for the given degree."""
     while True:

@@ -20,11 +20,23 @@ from gmbound.bounds import (
     bound_tree,
 )
 from gmbound.gl2 import H, Gl2Matrix
-from gmbound.graph import Edge, SeifertData, build_graph, degree_stats as _stats, graph_from_json, is_valid, normalize_all
+from gmbound.graph import (
+    DecompositionGraph,
+    Edge,
+    SeifertData,
+    build_graph,
+    degree_stats as _stats,
+    graph_from_json,
+    graph_to_json,
+    is_valid,
+    normalize_all,
+    validate,
+)
 from gmbound.oracle import bruteforce_min_f, f
 from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
     compose,
+    connectivity_sweep,
     h_loops,
     h_pair,
     negate_half,
@@ -215,6 +227,41 @@ def test_best_bound_dispatch():
     assert best_bound(regular_pair()).theorem == "regular"
     assert best_bound(h_pair()).theorem == "tree"
     assert best_bound(parallel_h()).theorem == "general"
+
+
+NO_TREE = "graph has no spanning tree (disconnected)"
+
+
+def test_every_evaluator_refuses_a_graph_without_a_spanning_tree():
+    piece = SeifertData(0, ((2, 1), (2, 1)), 0)
+    four = {f"v{i}": piece for i in range(1, 5)}
+    regular = Gl2Matrix(1, 2, 1, 1)
+    two_h_edges = build_graph(four, [Edge("e1", "v1", "v2", H), Edge("e2", "v3", "v4", H)])
+    two_regular_pairs = build_graph(four, [Edge("e1", "v1", "v2", regular), Edge("e2", "v3", "v4", regular)])
+    h_free = (best_bound, bound_regular, bound_tree, bound_general)
+    for g, evaluators in ((two_h_edges, (best_bound, bound_tree, bound_general)),
+                          (two_regular_pairs, h_free),
+                          (DecompositionGraph({}, ()), h_free)):
+        for evaluate in evaluators:
+            with pytest.raises(ValueError) as info:
+                evaluate(g)
+            assert str(info.value) == NO_TREE, (evaluate.__name__, graph_to_json(g))
+
+
+def test_the_evaluators_refuse_exactly_the_disconnected_graphs():
+    # the graphs of test_connectivity_verdict_matches_a_plain_traversal; with
+    # the cap raised, a connected graph gets a total or an invalid window
+    outcomes = {"refused": 0, "total": 0, "window": 0}
+    for g in connectivity_sweep():
+        disconnected = any(v.clause == "connectivity" for v in validate(g))
+        try:
+            best_bound(g, assignment_cap=2**40)
+            outcome = "total"
+        except ValueError as error:
+            outcome = "refused" if str(error) == NO_TREE else "window"
+        assert (outcome == "refused") == disconnected, graph_to_json(g)
+        outcomes[outcome] += 1
+    assert outcomes["refused"] >= 150 and outcomes["total"] >= 150, outcomes
 
 
 def test_report_json_dict():

@@ -33,11 +33,11 @@ from gmbound.oracle import _spans
 from sample_graphs import (
     U,
     compose,
+    connectivity_sweep,
     h_pair,
     normalize_edge,
     parallel_h,
     power_u,
-    random_multigraph,
     random_valid_graph,
     regular_pair,
     regular_pair_shifted,
@@ -130,18 +130,7 @@ def test_validate_rejects_empty_and_disconnected():
 
 
 def test_connectivity_verdict_matches_a_plain_traversal():
-    # random multigraphs, loops and parallel edges kept, with some edges dropped
-    # and some isolated pieces added, so that about half are disconnected
-    rng = random.Random(13)
-    piece = SeifertData(0, ((2, 1), (2, 1)), 0)
-    graphs = [DecompositionGraph({}, ()), DecompositionGraph({"v1": piece}, ())]
-    for _ in range(500):
-        n = rng.randint(1, 6)
-        g = random_multigraph(rng, n, rng.randint(n, n + 4))
-        vertices = dict(g.vertices)
-        for i in range(rng.choice((0, 0, 0, 1, 2))):
-            vertices[f"w{i + 1}"] = piece
-        graphs.append(build_graph(vertices, [e for e in g.edges if rng.random() < 0.9]))
+    graphs = connectivity_sweep()
     disconnected = 0
     for g in graphs:
         spans = _spans(list(g.vertices), g.edges)
