@@ -38,10 +38,10 @@ that order depth first, one H-edge per level, keeping the penalty sum up
 to date as labels are set and undone.  At every node it holds a lower
 bound on all the labelings below it: each vertex's shortfall from its
 window, less the most that the edges still unlabeled could take off it.
-A node whose bound is >= the least sum found so far is cut.  Everything
-it cuts is at least that sum, and only a strictly smaller sum replaces
-the one found, so the result is the first minimizer of the exhaustive
-search, witnesses included.
+A node whose bound is >= the least sum found so far is cut, and nothing
+else stops the search.  Everything it cuts is at least that sum, and only
+a strictly smaller sum replaces the one found, so the result is the first
+minimizer of the exhaustive search, witnesses included.
 
 The assignment cap is the search's one budget.  It counts the labelings of
 a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
@@ -96,6 +96,10 @@ def _tables(weights):
     any label takes off source m - b, source b - M, target m - b and
     target b - M, and a row is the label followed by what it leaves of
     each of those four maxima.
+
+    The sign table's loop half is never read: signed H-edges are tree
+    edges, and no tree edge is a loop.  It is kept so that one indexing,
+    by u == v, serves both groups.
     """
     tables = []
     for loop in (False, True):
@@ -218,8 +222,11 @@ def _search(layouts, short, over):
     is a lower bound for every labeling below the node, and the penalty
     sum itself at a leaf.  A label moves only its edge's ends, so the bound
     changes by theirs alone.  A node whose bound is >= the least sum so far
-    is cut, a layout ends at a leaf that reaches its root's bound, and the
-    search ends at a sum of 0.
+    is cut, and the cut is the search's only stopping rule: it ends a
+    layout that cannot win at its root, and after a sum of 0 it cuts every
+    node.  A leaf replaces the best only with a strictly smaller sum; a
+    layout without H-edges has its root as its leaf, which the cut never
+    sees, so an equal sum there must not replace the first.
     """
     n = len(short)
     best, least = None, float("inf")
@@ -237,18 +244,14 @@ def _search(layouts, short, over):
                 want[v] -= vw
                 steps.append((u, v, rows))
         bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
-        # a shortcut the cut makes redundant, kept as it skips the search of a layout that cannot win
-        if bound >= least:
-            continue
         picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
         depth = 0
         while depth >= 0:
             if depth == len(steps):
-                least = sums[depth]
-                best = (lack.copy(), want.copy(), tree, signed + outside, len(signed), steps, picks.copy())
-                # a shortcut the cut makes redundant, kept as it skips backtracking through cut nodes
-                if least == sums[0]:
-                    break
+                # a layout without H-edges reaches its leaf without passing the cut
+                if sums[depth] < least:
+                    least = sums[depth]
+                    best = (lack.copy(), want.copy(), tree, signed + outside, len(signed), steps, picks.copy())
                 depth -= 1
                 continue
             u, v, rows = steps[depth]
@@ -276,8 +279,6 @@ def _search(layouts, short, over):
                 lack[u], want[u], lack[v], want[v] = a, b, c, d
                 depth += 1
                 sums[depth] = bound
-        if not least:
-            break
     lack, want, tree, edges, n_signed, steps, picks = best
     pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
     witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _), (_, _, rows), p in zip(edges, steps, picks)])

@@ -68,7 +68,8 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
-    O(n) memory.  Nothing here limits that count; the bounds check it
+    O(n) memory, and a union-find that takes the whole subset goes on to
+    complete it.  Nothing here limits that count; the bounds check it
     against their budget before calling.
     """
     n = len(g.vertices)
@@ -77,10 +78,12 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     rank = len(_grow(list(range(n)), h_links))
     trees = []
     for basis in itertools.combinations(h_links, rank):
-        if len(_grow(list(range(n)), basis)) < rank:
+        parent = list(range(n))
+        if len(_grow(parent, basis)) < rank:
             continue
-        # B is acyclic, so the greedy pass takes all of it before the other edges
-        tree = set(_grow(list(range(n)), itertools.chain(basis, links)))
+        # parent has joined all of B, so growing it over every edge in id
+        # order completes B to the first tree that holds it
+        tree = {eid for eid, _, _ in basis}.union(_grow(parent, links))
         if len(tree) != n - 1:
             raise ValueError("graph has no spanning tree (disconnected)")
         trees.append(tuple(e.id for e in g.edges if e.id in tree))

@@ -196,3 +196,76 @@ def test_search_matches_brute_force_on_random_larger_shapes():
     assert any(len(layouts) == 2 and layouts[0][1:] == layouts[1][1:] for layouts, _, _ in instances)
     assert any(s > 0 and o > 0 for _, short, over in instances for s, o in zip(short, over))
     assert not _mismatches(instances)
+
+
+def test_later_layouts_that_only_tie_keep_the_first_tree():
+    cases = [
+        # two layouts without H-edges: the second has no node for the cut to
+        # test, so only the leaf's strict < keeps the first tree
+        ([(("t1",), [], []), (("t2",), [], [])], [1, -3], [-3, -3]),
+        # "-" leaves 1 + 1 on the first layout, the second layout's root
+        # bound, which the second layout also reaches
+        ([(("t1",), _links([(0, 1)]), []), (("t2",), _links([(0, 1)]), [])], [2, 2], [-5, -5]),
+        # the first layout reaches 0 at its second leaf, and a later layout
+        # with the same edges reaches 0 as well; one without H-edges pays 2
+        ([(("t1",), _links([(0, 1)]), []), (("t2",), _links([(0, 1)]), []), (("t3",), [], [])],
+         [1, 1], [-3, -3]),
+        # the first layout reaches 0 at its first leaf, a later one without
+        # H-edges reaches 0 too
+        ([(("t1",), _links([(0, 1)]), []), (("t2",), [], [])], [0, 0], [-1, -1]),
+    ]
+    for layouts, short, over in cases:
+        result = _search(layouts, short, over)
+        assert result == brute_force(layouts, short, over)
+        assert result[1] == ("t1",)
+
+
+def _components(n, links):
+    """The vertex lists of the components of a forest's links that hold an
+    edge, by the test's own union-find."""
+    parent = list(range(n))
+    for _, u, v in links:
+        parent[_root(parent, u)] = _root(parent, v)
+    groups = {}
+    for x in range(n):
+        groups.setdefault(_root(parent, x), []).append(x)
+    return [group for group in groups.values() if len(group) > 1]
+
+
+def split_forest_instances(count, seed):
+    """Signed forests on at most 9 vertices with two or more components that
+    hold an edge, one layout each, short and over drawn from [-4, 4]."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(4, 9)
+        parent, pairs = list(range(n)), []
+        for _ in range(rng.randint(2, n - 2)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                pairs.append((u, v))
+        links = _links(pairs)
+        if len(_components(n, links)) < 2:
+            continue
+        count -= 1
+        yield n, links, [rng.randint(-4, 4) for _ in range(n)], [rng.randint(-4, 4) for _ in range(n)]
+
+
+def test_searching_each_h_component_alone_gives_the_same_labeling():
+    # a vertex's penalty depends only on the labels of its own edges, so the
+    # components of a signed forest can be searched one at a time: each
+    # search on its own vertices, the penalties put back in place, the signs
+    # merged in edge order
+    for n, links, short, over in split_forest_instances(400, seed=3):
+        pens, _, psi, _ = _search([(("t",), links, [])], short, over)
+        split_pens, split_psi = [max(0, s) + max(0, o) for s, o in zip(short, over)], []
+        for group in _components(n, links):
+            index = {x: i for i, x in enumerate(group)}
+            own = [(eid, index[u], index[v]) for eid, u, v in links if u in index]
+            part, _, part_psi, _ = _search([(("t",), own, [])], [short[x] for x in group], [over[x] for x in group])
+            for x, pen in zip(group, part):
+                split_pens[x] = pen
+            split_psi += part_psi
+        order = [eid for eid, _, _ in links]
+        assert (pens, psi) == (split_pens, tuple(sorted(split_psi, key=lambda p: order.index(p[0]))))
