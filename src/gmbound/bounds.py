@@ -215,17 +215,19 @@ def _search(layouts, short, over):
     only from instances built directly, as tests/test_search.py builds them.
 
     Each layout is searched depth first without recursion, one edge per
-    depth: picks[d] is the next label to try there, sums[d] the bound at
-    the node there and frames[d] its edge's ends before the label.  lack
-    and want hold short and over less the most that the edges not yet
-    labeled could still take off them, so the sum of their positive parts
-    is a lower bound for every labeling below the node, and the penalty
-    sum itself at a leaf.  A label moves only its edge's ends, so the bound
-    changes by theirs alone.  A node whose bound is >= the least sum so far
+    depth: steps[d] is that edge as (id, u, v, label rows), picks[d] the
+    next label to try there, sums[d] the bound at the node there and
+    frames[d] its edge's ends before the label.  lack and want hold short
+    and over less the most that the edges not yet labeled could still take
+    off them, so the sum of their positive parts is a lower bound for
+    every labeling below the node, and the penalty sum itself at a leaf.
+    A label moves only its edge's ends, so the bound changes by theirs
+    alone.  A node whose bound is >= the least sum so far
     is cut, and the cut is the search's only stopping rule: it ends a
     layout that cannot win at its root, and after a sum of 0 it cuts every
-    node.  A leaf replaces the best only with a strictly smaller sum; a
-    layout without H-edges has its root as its leaf, which the cut never
+    node.  A leaf replaces the best only with a strictly smaller sum, and
+    builds the answer there, from lack, want and the labels picks[d] - 1;
+    a layout without H-edges has its root as its leaf, which the cut never
     sees, so an equal sum there must not replace the first.
     """
     n = len(short)
@@ -234,7 +236,7 @@ def _search(layouts, short, over):
         # slot n stands in for the second end of a loop
         lack, want, steps = short + [0], over + [0], []
         for group, tables in ((signed, _SIGN_TABLES), (outside, _PSI_PRIME_TABLES)):
-            for _, u, v in group:
+            for eid, u, v in group:
                 rows, (ul, uw, vl, vw) = tables[u == v]
                 if u == v:
                     v = n
@@ -242,7 +244,7 @@ def _search(layouts, short, over):
                 want[u] -= uw
                 lack[v] -= vl
                 want[v] -= vw
-                steps.append((u, v, rows))
+                steps.append((eid, u, v, rows))
         bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
         picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
         depth = 0
@@ -251,10 +253,12 @@ def _search(layouts, short, over):
                 # a layout without H-edges reaches its leaf without passing the cut
                 if sums[depth] < least:
                     least = sums[depth]
-                    best = (lack.copy(), want.copy(), tree, signed + outside, len(signed), steps, picks.copy())
+                    pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
+                    witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _, rows), p in zip(steps, picks)])
+                    best = pens, tree, witness[:len(signed)], witness[len(signed):]
                 depth -= 1
                 continue
-            u, v, rows = steps[depth]
+            _, u, v, rows = steps[depth]
             j = picks[depth]
             if j == 0:
                 lu, wu, lv, wv = lack[u], want[u], lack[v], want[v]
@@ -279,10 +283,7 @@ def _search(layouts, short, over):
                 lack[u], want[u], lack[v], want[v] = a, b, c, d
                 depth += 1
                 sums[depth] = bound
-    lack, want, tree, edges, n_signed, steps, picks = best
-    pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
-    witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _), (_, _, rows), p in zip(edges, steps, picks)])
-    return pens, tree, witness[:n_signed], witness[n_signed:]
+    return best
 
 
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:

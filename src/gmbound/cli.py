@@ -1,6 +1,10 @@
 """Command line interface.
 
 Subcommands: validate, bound, normalize, oracle (lemma | phi | minf), batch.
+The commands name the evaluator by its label, and bounds._bound alone maps
+a label to the evaluator: bound passes its --theorem (auto as None, the most
+specific that applies), oracle minf its tree or general bookkeeping, and
+batch calls best_bound, the None label.
 The commands that search, bound, batch and oracle minf (both sides), share
 one budget: bound's --max-assignments, else MC_MAX_ASSIGNMENTS, else
 DEFAULT_ASSIGNMENT_CAP; the other commands ignore the variable.
@@ -21,15 +25,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .bounds import (
-    DEFAULT_ASSIGNMENT_CAP,
-    CapExceeded,
-    TheoremInapplicable,
-    best_bound,
-    bound_general,
-    bound_regular,
-    bound_tree,
-)
+from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded, TheoremInapplicable, _bound, best_bound
 from .graph import DecompositionGraph, GraphFormatError, graph_from_json, graph_to_json, normalize_all, validate
 from .oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
 from .spanning import capital_phi
@@ -157,17 +153,8 @@ def cmd_bound(args) -> int:
     if _print_issues(validate(g), sys.stderr):
         print("graph is not valid; see messages above", file=sys.stderr)
         return EXIT_INVALID
-
-    cap = args.max_assignments
-    if args.theorem == "regular":
-        report = bound_regular(g)
-    elif args.theorem == "tree":
-        report = bound_tree(g, assignment_cap=cap)
-    elif args.theorem == "general":
-        report = bound_general(g, assignment_cap=cap)
-    else:
-        report = best_bound(g, assignment_cap=cap)
-    _print_report(report, args.breakdown)
+    # the choices are _bound's labels; auto is its None, the most specific
+    _print_report(_bound(g, None if args.theorem == "auto" else args.theorem, args.max_assignments), args.breakdown)
     return EXIT_OK
 
 
@@ -212,7 +199,7 @@ def cmd_oracle_minf(args) -> int:
         return EXIT_INVALID
     mode = "tree" if capital_phi(g) == 0 else "general"
     cap = args.max_assignments
-    production = (bound_tree if mode == "tree" else bound_general)(g, assignment_cap=cap)
+    production = _bound(g, mode, cap)
     exhaustive = bruteforce_min_f(g, mode, assignment_cap=cap)
     compared = (
         ("min", production.min_penalty, exhaustive.value),
@@ -264,7 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="compute the complexity upper bound")
     p.add_argument("file")
-    p.add_argument("--theorem", choices=("auto", "regular", "tree", "general"), default="auto")
+    p.add_argument("--theorem", choices=("auto", "regular", "tree", "general"), default="auto",
+                   help="the evaluator: auto picks the most specific that applies, as best_bound "
+                        "does; any other label runs bound_<label> and exits 1 where it does not apply")
     p.add_argument("--breakdown", action="store_true", help="print the full term breakdown")
     p.add_argument("--max-assignments", type=_cap, default=None,
                    help="the search budget: cap on the unpruned labeling search per set of tree "

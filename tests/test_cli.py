@@ -10,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from gmbound import cli
-from gmbound.bounds import DEFAULT_ASSIGNMENT_CAP, best_bound
+from gmbound import bounds, cli
+from gmbound.bounds import (
+    DEFAULT_ASSIGNMENT_CAP,
+    TheoremInapplicable,
+    best_bound,
+    bound_general,
+    bound_regular,
+    bound_tree,
+)
 from gmbound.graph import graph_from_json, graph_to_json, normalize_all
 from gmbound.oracle import MinFResult, bruteforce_min_f
 from sample_graphs import h_loops
@@ -578,3 +585,88 @@ def test_a_closed_stdout_ends_the_run_by_sigpipe(tmp_path):
         stderr = proc.stderr.read()
     assert proc.returncode == -signal.SIGPIPE
     assert b"Traceback" not in stderr
+
+
+
+# every fixture under every --theorem label, with the labels that apply to
+# each valid one (non_normalized.json is bounded with --normalize-first);
+# invalid_h_pair.json is refused under every label
+EVALUATORS = {
+    "auto": best_bound,
+    "regular": lambda g, assignment_cap: bound_regular(g),
+    "tree": bound_tree,
+    "general": bound_general,
+}
+APPLIES = {
+    "h_pair.json": {"auto", "tree", "general"},
+    "non_normalized.json": set(EVALUATORS),
+    "parallel_h.json": {"auto", "general"},
+    "regular_pair.json": set(EVALUATORS),
+    "single_loop.json": set(EVALUATORS),
+}
+
+
+@pytest.mark.parametrize("name, theorem", [
+    (path.name, theorem) for path in sorted(FIXTURES.glob("*.json")) for theorem in EVALUATORS])
+def test_bound_under_each_label_prints_its_evaluator_report(monkeypatch, capsys, name, theorem):
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+    flags = ["--normalize-first"] if name == "non_normalized.json" else []
+    code = cli.main(["bound", "--theorem", theorem, "--breakdown", *flags, str(FIXTURES / name)])
+    out, err = capsys.readouterr()
+    if name == "invalid_h_pair.json":
+        assert (code, out) == (1, "")
+        assert err.startswith("(ii)(a) e1:")
+        assert err.endswith("graph is not valid; see messages above\n")
+        return
+    g = graph_from_json((FIXTURES / name).read_text())
+    if flags:
+        g = normalize_all(g)[0]
+    if theorem not in APPLIES[name]:
+        with pytest.raises(TheoremInapplicable) as refusal:
+            EVALUATORS[theorem](g, assignment_cap=DEFAULT_ASSIGNMENT_CAP)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"inapplicable: {refusal.value}"
+        return
+    report = EVALUATORS[theorem](g, assignment_cap=DEFAULT_ASSIGNMENT_CAP)
+    assert code == 0
+    assert out == (f"theorem: {report.theorem}\nbound: {report.total}\nbreakdown:\n"
+                   + json.dumps(report.to_json_dict(), indent=2) + "\n")
+
+
+@pytest.mark.parametrize("theorem", ["tree", "general"])
+def test_an_explicit_label_keeps_the_budget(monkeypatch, capsys, theorem):
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+    code = cli.main(["bound", "--theorem", theorem, "--max-assignments", "1", str(FIXTURES / "h_pair.json")])
+    assert code == 3
+    assert capsys.readouterr() == ("", "cap exceeded: assignment search needs 2 > cap 1 assignments\n")
+
+
+def test_the_regular_label_searches_nothing_so_ignores_the_budget(monkeypatch, capsys):
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+    code = cli.main(["bound", "--theorem", "regular", "--max-assignments", "0", str(FIXTURES / "regular_pair.json")])
+    assert code == 0
+    assert capsys.readouterr() == ("theorem: regular\nbound: 8\n", "")
+
+
+@pytest.mark.parametrize("name", sorted(set(APPLIES) - {"non_normalized.json"}))
+def test_oracle_minf_agrees_on_every_valid_fixture(monkeypatch, capsys, name):
+    # regular_pair and single_loop run tree bookkeeping on a graph without H-edges
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+    assert cli.main(["oracle", "minf", str(FIXTURES / name)]) == 0
+    assert "witnesses equal" in capsys.readouterr().out
+
+
+def test_oracle_minf_gives_the_production_side_the_budget(monkeypatch, capsys):
+    # a graph that only a cap above the default admits takes the exhaustive
+    # side over a million labelings, so a recorder shows the cap instead
+    caps = []
+
+    def production(g, theorem, assignment_cap):
+        caps.append(assignment_cap)
+        return bounds._bound(g, theorem, assignment_cap)
+
+    monkeypatch.setattr(cli, "_bound", production)
+    monkeypatch.setenv("MC_MAX_ASSIGNMENTS", str(10**7))
+    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
+    assert caps == [10**7]
+    assert "witnesses equal" in capsys.readouterr().out
