@@ -27,8 +27,9 @@ single tree and report None.
 The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
-graph into that instance, so tests can pin the search on instances built
-directly.
+graph into that instance, from one graph._split, the pass that classifies
+each edge as H or not once, and from the layouts of optimal_trees; so
+tests can pin the search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -63,8 +64,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gl2 import cf_sum, int_text, is_plus_minus_h, matrix_complexity
-from .graph import DecompositionGraph, degree_stats
+from .gl2 import cf_sum, int_text, matrix_complexity
+# bounds calls neither degree_stats nor capital_phi; bench/run.py internal_bindings wraps them here
+from .graph import DecompositionGraph, _grow, _split, degree_stats
 from .seifert import handle_count
 from .spanning import capital_phi, optimal_trees
 
@@ -289,28 +291,24 @@ def _search(layouts, short, over):
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply."""
-    h_edges, rest = [], []
-    for e in g.edges:
-        (h_edges if is_plus_minus_h(e.matrix) else rest).append(e)
-    phi_value = capital_phi(g) if h_edges else 0
+    _, h_links, rest, plus, minus, zero = _split(g)
+    # Phi: the H-links a greedy forest over them cannot take (capital_phi)
+    phi_value = len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
     if theorem is None:
-        theorem = "general" if phi_value else "tree" if h_edges else "regular"
-    elif theorem == "regular" and h_edges:
+        theorem = "general" if phi_value else "tree" if h_links else "regular"
+    elif theorem == "regular" and h_links:
         raise TheoremInapplicable(
-            f"regular evaluator needs a graph without +-H edges, found {[e.id for e in h_edges]}")
+            f"regular evaluator needs a graph without +-H edges, found {[eid for eid, _, _ in h_links]}")
     elif theorem == "tree" and phi_value:
         raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
 
     # every optimal tree leaves Phi(G) H-edges outside, so the count does not
     # depend on the tree and is checked before any tree is enumerated
-    count = 2 ** (len(h_edges) - phi_value) * 6 ** phi_value
+    count = 2 ** (len(h_links) - phi_value) * 6 ** phi_value
     if theorem != "regular" and count > assignment_cap:
         raise CapExceeded(
             f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
             needed=count)
-    # the search reads vertex indices; the H-edges are resolved once, here
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    h_links = [(e.id, index[e.src], index[e.dst]) for e in h_edges]
     layouts = []
     # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
     # subsets, so the check above is its only budget; it also refuses a
@@ -320,11 +318,10 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         layouts.append((tree, [link for link in h_links if link[0] in inside],
                         [link for link in h_links if link[0] not in inside]))
 
-    stats = degree_stats(g)
     short, over, fixed = [], [], []
-    for vid, s in g.vertices.items():
-        r, h, st = len(s.fibres), handle_count(s), stats[vid]
-        m, M, k = 1 - r - h - st.d_minus, h + st.d_plus - 1, st.d_zero
+    for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), plus, minus, zero):
+        r, h = len(s.fibres), handle_count(s)
+        m, M = 1 - r - h - d_minus, h + d_plus - 1
         # f's window check on every labeled window at once: labels only widen
         # the window, by at least one unit per H-edge end in all, and can
         # leave either side where it is.  With r, h, d- and d+ >= 0, m <= 1
@@ -334,7 +331,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
                              "ends; need m < M + ends")
         short.append(m - s.b)
         over.append(s.b - M)
-        fixed.append((3 * (st.d + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))
+        fixed.append((3 * (d_plus + d_minus + k + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))
     pens, tree, psi, psi_prime = _search(layouts, short, over)
 
     cycle = 5 * (len(g.edges) - len(g.vertices) + 1)

@@ -8,8 +8,8 @@ fixes which way the matrix acts, and reversing an edge would replace the
 matrix by its (re-normalized) inverse.
 
 Edges with matrix +-H play a special role in the bound evaluators and are
-referred to as H-edges throughout; degree_stats splits vertex degrees
-accordingly.
+referred to as H-edges throughout; _split tells them from the other edges
+in one pass, and splits vertex degrees accordingly.
 
 Each check runs in one place:
 
@@ -26,12 +26,12 @@ Each check runs in one place:
                    output is normalized by construction, and normalize_all
                    puts the edge id in front of its errors;
   validate         admissibility: at least one edge, connected (asked of
-                   the union-find _grow below, which spanning shares for
-                   Phi and the optimal trees), every edge label normalized
-                   (one is_normalized call each, whose error becomes the
-                   violation), well-formed fibres, class S for the vertex
-                   degree, and the small-graph exclusions (i) and
-                   (ii)(a)-(c).
+                   the union-find _grow below, which spanning and bounds
+                   share for Phi and the optimal trees), every edge label
+                   normalized (one is_normalized call each, whose error
+                   becomes the violation), well-formed fibres, class S for
+                   the vertex degree, and the small-graph exclusions (i)
+                   and (ii)(a)-(c).
 """
 
 from __future__ import annotations
@@ -115,27 +115,15 @@ class DegreeStats:
     d_zero: int
 
 
-# no production module calls it (validate counts its own degrees, and only
-# bounds._bound calls degree_stats); the benchmark's traced run wraps it
+# no production module calls it (validate counts its own degrees, and
+# bounds._bound reads its degree split from _split); the benchmark's traced run wraps it
 def degree(g: DecompositionGraph, vid: str) -> int:
     return sum((e.src == vid) + (e.dst == vid) for e in g.edges)
 
 
 def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
-    plus = dict.fromkeys(g.vertices, 0)
-    minus = dict.fromkeys(g.vertices, 0)
-    zero = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
-        if is_plus_minus_h(e.matrix):
-            zero[e.src] += 1
-            zero[e.dst] += 1
-        else:
-            plus[e.src] += 1
-            minus[e.dst] += 1
-    return {
-        vid: DegreeStats(plus[vid] + minus[vid] + zero[vid], plus[vid], minus[vid], zero[vid])
-        for vid in g.vertices
-    }
+    *_, plus, minus, zero = _split(g)
+    return {vid: DegreeStats(p + m + z, p, m, z) for vid, p, m, z in zip(g.vertices, plus, minus, zero)}
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +131,35 @@ def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
 # ---------------------------------------------------------------------------
 
 
-def _links(g: DecompositionGraph, keep) -> list[tuple[str, int, int]]:
-    """(id, source index, target index) of the edges that keep accepts, in id order."""
+def _links(g: DecompositionGraph) -> list[tuple[str, int, int]]:
+    """(id, source index, target index) of every edge, in id order; an index
+    is the vertex's position in g.vertices.  Callers filter the result."""
     index = {vid: i for i, vid in enumerate(g.vertices)}
-    return [(e.id, index[e.src], index[e.dst]) for e in g.edges if keep(e)]
+    return [(e.id, index[e.src], index[e.dst]) for e in g.edges]
+
+
+def _split(g: DecompositionGraph):
+    """Each edge classified once: (links, h_links, rest, plus, minus, zero).
+
+    links is _links(g), h_links the H-links among them, and rest the other
+    edges, in id order.  plus, minus and zero count, per vertex index, the
+    non-H out-ends, the non-H in-ends and the H-ends, as DegreeStats does;
+    a loop gives both of its ends to its vertex.
+    """
+    links = _links(g)
+    h_links, rest = [], []
+    plus, minus, zero = [0] * len(g.vertices), [0] * len(g.vertices), [0] * len(g.vertices)
+    for link, e in zip(links, g.edges):
+        _, u, v = link
+        if is_plus_minus_h(e.matrix):
+            h_links.append(link)
+            zero[u] += 1
+            zero[v] += 1
+        else:
+            rest.append(e)
+            plus[u] += 1
+            minus[v] += 1
+    return links, h_links, rest, plus, minus, zero
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -212,7 +225,7 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
     n = len(g.vertices)
     # a spanning forest of n vertices has n - 1 edges exactly when it is one tree
-    if len(_grow(list(range(n)), _links(g, lambda e: True))) != n - 1:
+    if len(_grow(list(range(n)), _links(g))) != n - 1:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:

@@ -15,9 +15,11 @@ count known before the scan starts, which the bounds check against their
 budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
-Every forest is grown by the union-find of graph (_links, _grow), the one
-validate asks whether the graph is connected; this module keeps only the
-bound's forest questions.
+Every forest is grown by the union-find of graph (_grow), the one validate
+asks whether the graph is connected.  Its links come from graph: Phi and
+the optimal trees read the H-links from _split, the one pass that tells
+H-edges apart, and is_spanning_tree filters _links.  This module keeps
+only the bound's forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -28,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .gl2 import is_plus_minus_h
-from .graph import DecompositionGraph, _grow, _links
+from .graph import DecompositionGraph, _grow, _links, _split
 
 
 # checking code, which no production module calls; the benchmark checker imports it
@@ -39,7 +40,7 @@ def is_spanning_tree(g: DecompositionGraph, edge_ids) -> bool:
     ids = set(listed)
     if len(ids) != len(listed) or len(ids) != len(g.vertices) - 1:
         return False
-    links = _links(g, lambda e: e.id in ids)
+    links = [link for link in _links(g) if link[0] in ids]
     return len(_grow(list(range(len(g.vertices))), links)) == len(ids)
 
 
@@ -51,7 +52,7 @@ def capital_phi(g: DecompositionGraph) -> int:
     placed, every H-loop among it, is exactly the minimum.  The graph must
     be connected.
     """
-    h_links = _links(g, lambda e: is_plus_minus_h(e.matrix))
+    h_links = _split(g)[1]
     return len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
 
 
@@ -73,8 +74,7 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     against their budget before calling.
     """
     n = len(g.vertices)
-    links = _links(g, lambda e: True)
-    h_links = [link for link, e in zip(links, g.edges) if is_plus_minus_h(e.matrix)]
+    links, h_links = _split(g)[:2]
     rank = len(_grow(list(range(n)), h_links))
     trees = []
     for basis in itertools.combinations(h_links, rank):

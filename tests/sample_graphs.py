@@ -115,6 +115,19 @@ def negate_half(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph
     flipped = set(rng.sample([e.id for e in g.edges], len(g.edges) // 2))
     return build_graph(g.vertices, [replace(e, matrix=-e.matrix) if e.id in flipped else e for e in g.edges])
 
+
+def mirror(g: DecompositionGraph) -> DecompositionGraph:
+    """The graph of the manifold with its orientation reversed, then
+    normalize_all: each fibre (p, q) becomes (p, p - q), re-sorted, b
+    becomes -b - r for r fibres, and each matrix (alpha beta / gamma delta)
+    becomes (alpha -beta / -gamma delta).  Every +-H label stays +-H."""
+    vertices = {vid: SeifertData(s.g, tuple(sorted((p, p - q) for p, q in s.fibres)), -s.b - len(s.fibres))
+                for vid, s in g.vertices.items()}
+    edges = [replace(e, matrix=Gl2Matrix(e.matrix.alpha, -e.matrix.beta, -e.matrix.gamma, e.matrix.delta))
+             for e in g.edges]
+    return normalize_all(build_graph(vertices, edges))[0]
+
+
 # ---------------------------------------------------------------------------
 # fixed example graphs (expected values frozen after oracle confirmation)
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import gmbound
 from gmbound.bounds import (
     BoundReport,
     CapExceeded,
@@ -19,7 +20,7 @@ from gmbound.bounds import (
     bound_regular,
     bound_tree,
 )
-from gmbound.gl2 import H, Gl2Matrix
+from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
 from gmbound.graph import (
     DecompositionGraph,
     Edge,
@@ -39,6 +40,7 @@ from sample_graphs import (
     connectivity_sweep,
     h_loops,
     h_pair,
+    mirror,
     negate_half,
     parallel_h,
     power_u,
@@ -405,6 +407,54 @@ def test_bound_invariant_under_presentation():
         assert reports[0].min_penalty == reference.min_penalty
     assert time.perf_counter() - start < 15
     assert {capital_phi(g) for g in graphs} == {0, 1, 2}
+
+
+def test_bound_invariant_under_orientation_reversal():
+    # Matveev complexity does not see orientation, so the mirror graph of
+    # each graph of the presentation sweep (same seed, same draws) gets the
+    # same theorem, total, Phi and least penalty sum.  Per-vertex penalties
+    # and witnesses may move between vertices of equal sum, so they are not
+    # compared.  Unlike the oracle sweeps, this catches d+ and d- swapped in
+    # the windows of both the bounds and the oracle
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(300):
+        closing = rng.randint(0, 2)
+        n = rng.randint(15, 40)
+        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
+    for shape in ("components", "star", "parallel", "loops"):
+        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
+    for g in graphs:
+        mirrored = mirror(g)
+        assert is_valid(mirrored)
+        assert mirror(mirrored) == g
+        reference, report = best_bound(g), best_bound(mirrored)
+        assert ((report.theorem, report.total, report.phi_term, report.min_penalty)
+                == (reference.theorem, reference.total, reference.phi_term, reference.min_penalty))
+
+
+def test_one_bound_classifies_each_edge_at_most_twice(monkeypatch):
+    # graph._split tells H-edges from the others once per bound, and
+    # optimal_trees, which takes the graph alone, once more; gl2's own
+    # binding prices non-H labels by another rule and is left alone
+    rng = random.Random(22)
+    graphs = [normalize_all(graph_from_json(path.read_text()))[0] for path in sorted(FIXTURES.glob("*.json"))]
+    graphs = [g for g in graphs if is_valid(g)] + [random_valid_graph(rng) for _ in range(300)]
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_plus_minus_h(m)
+
+    for module in (gmbound.graph, gmbound.spanning, gmbound.bounds):
+        if hasattr(module, "is_plus_minus_h"):
+            monkeypatch.setattr(module, "is_plus_minus_h", counting)
+    theorems = set()
+    for g in graphs:
+        calls.clear()
+        theorems.add(best_bound(g).theorem)
+        assert len(calls) <= 2 * len(g.edges), graph_to_json(g)
+    assert theorems == {"regular", "tree", "general"}
 
 
 def test_report_bytes_pinned():

@@ -34,10 +34,12 @@ from sample_graphs import (
     U,
     compose,
     connectivity_sweep,
+    h_loops,
     h_pair,
     normalize_edge,
     parallel_h,
     power_u,
+    random_multigraph,
     random_valid_graph,
     regular_pair,
     regular_pair_shifted,
@@ -106,6 +108,32 @@ def test_degree_stats_h_loop():
         [Edge("e1", "v1", "v1", H)],
     )
     assert degree_stats(g)["v1"] == DegreeStats(d=2, d_plus=0, d_minus=0, d_zero=2)
+
+
+def test_the_split_agrees_with_the_raw_edge_list():
+    # graph._split classifies each edge once for every reader; here each of
+    # its answers is recounted from e.src, e.dst and the matrix alone
+    rng = random.Random(22)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        graphs.append(random_multigraph(rng, n, rng.randint(n - 1, n + 5), rng.random()))
+    graphs += [h_loops(n) for n in range(4)] + connectivity_sweep()
+    for g in graphs:
+        is_h = [gl2.is_plus_minus_h(e.matrix) for e in g.edges]
+        index = {vid: i for i, vid in enumerate(g.vertices)}
+        links, h_links, rest, *_ = graph._split(g)
+        assert links == graph._links(g)
+        assert h_links == [(e.id, index[e.src], index[e.dst]) for e, h in zip(g.edges, is_h) if h]
+        assert rest == [e for e, h in zip(g.edges, is_h) if not h]
+        stats = degree_stats(g)
+        assert list(stats) == list(g.vertices)
+        for vid in g.vertices:
+            d_plus = sum(e.src == vid for e, h in zip(g.edges, is_h) if not h)
+            d_minus = sum(e.dst == vid for e, h in zip(g.edges, is_h) if not h)
+            d_zero = sum((e.src == vid) + (e.dst == vid) for e, h in zip(g.edges, is_h) if h)
+            assert stats[vid] == DegreeStats(d_plus + d_minus + d_zero, d_plus, d_minus, d_zero), graph_to_json(g)
+    assert sum(any(e.is_loop for e in g.edges) for g in graphs) >= 100
 
 
 # ---------------------------------------------------------------------------
