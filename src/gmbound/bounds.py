@@ -28,8 +28,8 @@ The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
 graph into that instance, from one graph._split, the pass that classifies
-each edge as H or not once, and from the layouts of optimal_trees; so
-tests can pin the search on instances built directly.
+each edge as H or not once and finds Phi, and from the layouts of
+optimal_trees; so tests can pin the search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 from .gl2 import cf_sum, int_text, matrix_complexity
 # bounds calls neither degree_stats nor capital_phi; bench/run.py internal_bindings wraps them here
-from .graph import DecompositionGraph, _grow, _split, degree_stats
+from .graph import DecompositionGraph, _split, degree_stats
 from .seifert import handle_count
 from .spanning import capital_phi, optimal_trees
 
@@ -291,9 +291,7 @@ def _search(layouts, short, over):
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply."""
-    _, h_links, rest, plus, minus, zero = _split(g)
-    # Phi: the H-links a greedy forest over them cannot take (capital_phi)
-    phi_value = len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
+    _, h_links, rest, plus, minus, zero, phi_value = _split(g)
     if theorem is None:
         theorem = "general" if phi_value else "tree" if h_links else "regular"
     elif theorem == "regular" and h_links:

@@ -9,7 +9,9 @@ matrix by its (re-normalized) inverse.
 
 Edges with matrix +-H play a special role in the bound evaluators and are
 referred to as H-edges throughout; _split tells them from the other edges
-in one pass, and splits vertex degrees accordingly.
+in one pass, splits vertex degrees accordingly and finds Phi, the H-edges
+a greedy forest over them cannot take.  validate, degree_stats, spanning
+and bounds all read H-ness, degrees and Phi from it.
 
 Each check runs in one place:
 
@@ -26,12 +28,13 @@ Each check runs in one place:
                    output is normalized by construction, and normalize_all
                    puts the edge id in front of its errors;
   validate         admissibility: at least one edge, connected (asked of
-                   the union-find _grow below, which spanning and bounds
-                   share for Phi and the optimal trees), every edge label
+                   the union-find _grow below, which _split grows for Phi
+                   and spanning for the optimal trees), every edge label
                    normalized (one is_normalized call each, whose error
                    becomes the violation), well-formed fibres, class S for
                    the vertex degree, and the small-graph exclusions (i)
-                   and (ii)(a)-(c).
+                   and (ii)(a)-(c); degrees and H-edges come from one
+                   _split call.
 """
 
 from __future__ import annotations
@@ -115,14 +118,14 @@ class DegreeStats:
     d_zero: int
 
 
-# no production module calls it (validate counts its own degrees, and
-# bounds._bound reads its degree split from _split); the benchmark's traced run wraps it
+# no production module calls it (validate and bounds._bound read their
+# degrees from _split); the benchmark's traced run wraps it
 def degree(g: DecompositionGraph, vid: str) -> int:
     return sum((e.src == vid) + (e.dst == vid) for e in g.edges)
 
 
 def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
-    *_, plus, minus, zero = _split(g)
+    plus, minus, zero = _split(g)[3:6]
     return {vid: DegreeStats(p + m + z, p, m, z) for vid, p, m, z in zip(g.vertices, plus, minus, zero)}
 
 
@@ -139,16 +142,20 @@ def _links(g: DecompositionGraph) -> list[tuple[str, int, int]]:
 
 
 def _split(g: DecompositionGraph):
-    """Each edge classified once: (links, h_links, rest, plus, minus, zero).
+    """Each edge classified once: (links, h_links, rest, plus, minus, zero, phi).
 
     links is _links(g), h_links the H-links among them, and rest the other
     edges, in id order.  plus, minus and zero count, per vertex index, the
     non-H out-ends, the non-H in-ends and the H-ends, as DegreeStats does;
-    a loop gives both of its ends to its vertex.
+    a loop gives both of its ends to its vertex.  phi is Phi(G): the
+    H-links that one greedy forest over h_links cannot take, every H-loop
+    among them.  Spanning forests form a matroid, so that is the fewest
+    H-edges any spanning tree of a connected graph leaves out.
     """
+    n = len(g.vertices)
     links = _links(g)
     h_links, rest = [], []
-    plus, minus, zero = [0] * len(g.vertices), [0] * len(g.vertices), [0] * len(g.vertices)
+    plus, minus, zero = [0] * n, [0] * n, [0] * n
     for link, e in zip(links, g.edges):
         _, u, v = link
         if is_plus_minus_h(e.matrix):
@@ -159,7 +166,7 @@ def _split(g: DecompositionGraph):
             rest.append(e)
             plus[u] += 1
             minus[v] += 1
-    return links, h_links, rest, plus, minus, zero
+    return links, h_links, rest, plus, minus, zero, len(h_links) - len(_grow(list(range(n)), h_links))
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -223,9 +230,10 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     if not g.edges:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
+    links, h_links, _, plus, minus, zero, _ = _split(g)
     n = len(g.vertices)
     # a spanning forest of n vertices has n - 1 edges exactly when it is one tree
-    if len(_grow(list(range(n)), _links(g))) != n - 1:
+    if len(_grow(list(range(n)), links)) != n - 1:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:
@@ -237,25 +245,21 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         if e.is_loop:
             out.append(Violation("loops", e.id, "loop edge (admitted; never part of a spanning tree)", "note"))
 
-    degrees = dict.fromkeys(g.vertices, 0)
-    for e in g.edges:
-        degrees[e.src] += 1
-        degrees[e.dst] += 1
-    for vid, s in g.vertices.items():
+    pieces = list(g.vertices.items())
+    for (vid, s), d_plus, d_minus, d_zero in zip(pieces, plus, minus, zero):
         for msg in fibre_problems(s):
             out.append(Violation("seifert-data", vid, msg))
-        for msg in validate_class_s(s, degrees[vid]):
+        for msg in validate_class_s(s, d_plus + d_minus + d_zero):
             out.append(Violation("class-S", vid, msg))
 
-    # exclusion (i): an H-edge may not touch a degree-1 piece (0,1,(2,1),(2,1),-1)
-    for e in g.edges:
-        if not is_plus_minus_h(e.matrix):
-            continue
-        for vid in (e.src,) if e.is_loop else (e.src, e.dst):
-            s = g.vertices[vid]
-            if _is_two_half_fibred_disk(s) and s.b == -1 and degrees[vid] == 1:
+    # exclusion (i): an H-edge may not touch a degree-1 piece (0,1,(2,1),(2,1),-1);
+    # its ends are visited source first, and a loop's vertex once
+    for eid, u, v in h_links:
+        for i in (u,) if u == v else (u, v):
+            vid, s = pieces[i]
+            if _is_two_half_fibred_disk(s) and s.b == -1 and plus[i] + minus[i] + zero[i] == 1:
                 out.append(Violation(
-                    "(i)", e.id,
+                    "(i)", eid,
                     f"+-H gluing touches vertex {vid}, a (0,1,(2,1),(2,1),-1) piece"))
 
     # exclusion (ii): two pieces (0,1,(2,1),(2,1),b_i) joined by a single edge
@@ -264,7 +268,8 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         s1, s2 = g.vertices[e.src], g.vertices[e.dst]
         if _is_two_half_fibred_disk(s1) and _is_two_half_fibred_disk(s2):
             pair = (s1.b, s2.b)
-            if is_plus_minus_h(e.matrix) and pair in ((0, 0), (-2, -2)):
+            # the one edge is an H-edge exactly when h_links holds it
+            if h_links and pair in ((0, 0), (-2, -2)):
                 out.append(Violation(
                     "(ii)(a)", e.id, f"+-H gluing of two (2,1)(2,1) disk pieces with b = {pair}"))
             if _matches_shifted_h(e.matrix) and pair == (-1, -2):

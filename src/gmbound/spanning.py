@@ -2,11 +2,12 @@
 
 For a spanning tree T, phi(T) counts the H-edges (matrix +-H) left outside
 T, and Phi(G) is the minimum of phi over all spanning trees.  Spanning
-forests form a matroid, so Phi comes from a greedy forest construction, and
-a tree attains Phi exactly when its H-edges T & H form a basis of the
-H-subgraph's graphic matroid, a spanning forest of the H-edges.  Everything
-the bounds score depends on T only through T & H, so the optimal trees are
-enumerated one per basis.
+forests form a matroid, so Phi comes from a greedy forest construction,
+which graph._split runs in its one pass over the edges, and a tree attains
+Phi exactly when its H-edges T & H form a basis of the H-subgraph's
+graphic matroid, a spanning forest of the H-edges.  Everything the bounds
+score depends on T only through T & H, so the optimal trees are enumerated
+one per basis.
 
 The bases are found by their definition: one scan of the rank-sized
 subsets of the H-edges, in lexicographic order, keeps each subset that a
@@ -16,10 +17,11 @@ budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
 Every forest is grown by the union-find of graph (_grow), the one validate
-asks whether the graph is connected.  Its links come from graph: Phi and
-the optimal trees read the H-links from _split, the one pass that tells
-H-edges apart, and is_spanning_tree filters _links.  This module keeps
-only the bound's forest questions.
+asks whether the graph is connected.  Its links come from graph: Phi, and
+the H-links and rank of the optimal trees, come from _split, the one pass
+that tells H-edges apart and grows their greedy forest, and
+is_spanning_tree filters _links.  This module keeps only the bound's
+forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -49,11 +51,11 @@ def capital_phi(g: DecompositionGraph) -> int:
 
     Spanning forests form a matroid, so inserting the H-edges first packs
     as many of them into a single spanning tree as possible; what cannot be
-    placed, every H-loop among it, is exactly the minimum.  The graph must
-    be connected.
+    placed, every H-loop among it, is exactly the minimum.  graph._split
+    computes it, in the pass that classifies the edges.  The graph must be
+    connected.
     """
-    h_links = _split(g)[1]
-    return len(h_links) - len(_grow(list(range(len(g.vertices))), h_links))
+    return _split(g)[-1]
 
 
 def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
@@ -74,8 +76,8 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     against their budget before calling.
     """
     n = len(g.vertices)
-    links, h_links = _split(g)[:2]
-    rank = len(_grow(list(range(n)), h_links))
+    links, h_links, *_, phi = _split(g)
+    rank = len(h_links) - phi
     trees = []
     for basis in itertools.combinations(h_links, rank):
         parent = list(range(n))

@@ -5,6 +5,7 @@ import json
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,8 @@ from gmbound.graph import (
     normalize_all,
     validate,
 )
-from gmbound.oracle import _spans
+from gmbound.oracle import _spans, bruteforce_phi
+from gmbound.spanning import capital_phi
 from sample_graphs import (
     U,
     compose,
@@ -46,6 +48,9 @@ from sample_graphs import (
     single_loop,
     two_disk_pieces,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _clauses(g: DecompositionGraph, severity: str = "error") -> list[str]:
@@ -112,7 +117,8 @@ def test_degree_stats_h_loop():
 
 def test_the_split_agrees_with_the_raw_edge_list():
     # graph._split classifies each edge once for every reader; here each of
-    # its answers is recounted from e.src, e.dst and the matrix alone
+    # its answers is recounted from e.src, e.dst and the matrix alone, and
+    # its Phi from every spanning tree wherever the graph has one
     rng = random.Random(22)
     graphs = []
     for _ in range(300):
@@ -122,8 +128,11 @@ def test_the_split_agrees_with_the_raw_edge_list():
     for g in graphs:
         is_h = [gl2.is_plus_minus_h(e.matrix) for e in g.edges]
         index = {vid: i for i, vid in enumerate(g.vertices)}
-        links, h_links, rest, *_ = graph._split(g)
+        links, h_links, rest, *_, phi = graph._split(g)
         assert links == graph._links(g)
+        assert phi == capital_phi(g)
+        if _spans(list(g.vertices), g.edges):
+            assert phi == bruteforce_phi(g), graph_to_json(g)
         assert h_links == [(e.id, index[e.src], index[e.dst]) for e, h in zip(g.edges, is_h) if h]
         assert rest == [e for e, h in zip(g.edges, is_h) if not h]
         stats = degree_stats(g)
@@ -201,6 +210,41 @@ def test_validate_condition_i():
     # same piece on a non-mirror edge is fine
     g = two_disk_pieces(-1, 0, Gl2Matrix(1, 2, 1, 1))
     assert "(i)" not in _clauses(g)
+    # the (i) lines of an edge name its source, then its target, whichever
+    # id sorts first; edges come in id order
+    piece = SeifertData(0, ((2, 1), (2, 1)), -1)
+    g = build_graph({"v1": piece, "v2": piece}, [Edge("e1", "v2", "v1", H)])
+    assert validate(g) == [
+        Violation("(i)", "e1", "+-H gluing touches vertex v2, a (0,1,(2,1),(2,1),-1) piece"),
+        Violation("(i)", "e1", "+-H gluing touches vertex v1, a (0,1,(2,1),(2,1),-1) piece"),
+    ]
+    g = build_graph(
+        {"v1": piece, "v2": SeifertData(0, ((2, 1), (3, 1)), 0), "v3": piece},
+        [Edge("e1", "v2", "v3", H), Edge("e2", "v1", "v2", -H)],
+    )
+    assert validate(g) == [
+        Violation("(i)", "e1", "+-H gluing touches vertex v3, a (0,1,(2,1),(2,1),-1) piece"),
+        Violation("(i)", "e2", "+-H gluing touches vertex v1, a (0,1,(2,1),(2,1),-1) piece"),
+    ]
+
+
+def test_validate_classifies_each_edge_once(monkeypatch):
+    # validate reads H-ness from its one graph._split call, so each edge
+    # goes through is_plus_minus_h once, for exclusion (i) and (ii)(a) alike
+    rng = random.Random(23)
+    graphs = [graph_from_json(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    graphs += [random_valid_graph(rng) for _ in range(200)]
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return gl2.is_plus_minus_h(m)
+
+    monkeypatch.setattr(graph, "is_plus_minus_h", counting)
+    for g in graphs:
+        calls.clear()
+        validate(g)
+        assert len(calls) <= len(g.edges), graph_to_json(g)
 
 
 def test_validate_condition_ii_a():
