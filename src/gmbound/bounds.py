@@ -28,8 +28,9 @@ The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
 graph into that instance, from one graph._split, the pass that classifies
-each edge as H or not once and finds Phi, and from the layouts of
-optimal_trees; so tests can pin the search on instances built directly.
+each edge as H or not once and finds Phi, and from the layouts that
+optimal_trees builds from that split's links, so a bound classifies each
+edge once; and tests can pin the search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -213,8 +214,9 @@ def _search(layouts, short, over):
     of their positive parts once the labels take d- off short and d+ off
     over.  Returns
     (per-vertex penalties, tree, psi, psi'), psi and psi' as (id, label)
-    pairs.  _bound passes the trees of optimal_trees; a tree of None comes
-    only from instances built directly, as tests/test_search.py builds them.
+    pairs.  _bound passes the layouts of optimal_trees; a tree of None
+    comes only from instances built directly, as tests/test_search.py
+    builds them.
 
     Each layout is searched depth first without recursion, one edge per
     depth: steps[d] is that edge as (id, u, v, label rows), picks[d] the
@@ -291,7 +293,7 @@ def _search(layouts, short, over):
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply."""
-    _, h_links, rest, plus, minus, zero, phi_value = _split(g)
+    links, h_links, rest, plus, minus, zero, phi_value = _split(g)
     if theorem is None:
         theorem = "general" if phi_value else "tree" if h_links else "regular"
     elif theorem == "regular" and h_links:
@@ -307,14 +309,10 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         raise CapExceeded(
             f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
             needed=count)
-    layouts = []
     # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
     # subsets, so the check above is its only budget; it also refuses a
     # disconnected or empty graph, before any window is checked
-    for tree in optimal_trees(g):
-        inside = set(tree)
-        layouts.append((tree, [link for link in h_links if link[0] in inside],
-                        [link for link in h_links if link[0] not in inside]))
+    layouts = optimal_trees(len(g.vertices), links, h_links, phi_value)
 
     short, over, fixed = [], [], []
     for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), plus, minus, zero):

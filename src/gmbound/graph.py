@@ -150,7 +150,9 @@ def _split(g: DecompositionGraph):
     a loop gives both of its ends to its vertex.  phi is Phi(G): the
     H-links that one greedy forest over h_links cannot take, every H-loop
     among them.  Spanning forests form a matroid, so that is the fewest
-    H-edges any spanning tree of a connected graph leaves out.
+    H-edges any spanning tree of a connected graph leaves out.  A bound
+    makes one call and hands links, h_links and phi on to
+    spanning.optimal_trees, which makes none.
     """
     n = len(g.vertices)
     links = _links(g)

@@ -17,11 +17,12 @@ budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
 Every forest is grown by the union-find of graph (_grow), the one validate
-asks whether the graph is connected.  Its links come from graph: Phi, and
-the H-links and rank of the optimal trees, come from _split, the one pass
-that tells H-edges apart and grows their greedy forest, and
-is_spanning_tree filters _links.  This module keeps only the bound's
-forest questions.
+asks whether the graph is connected.  Its links come from graph._split,
+the one pass that tells H-edges apart and grows their greedy forest for
+Phi: optimal_trees takes the links, the H-links and Phi of its caller's
+split and makes none of its own, so a bound classifies each edge once;
+capital_phi reads _split, and is_spanning_tree filters _links.  This
+module keeps only the bound's forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -58,9 +59,15 @@ def capital_phi(g: DecompositionGraph) -> int:
     return _split(g)[-1]
 
 
-def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
-    """One spanning tree attaining Phi(G) per distinct set of tree H-edges,
-    as sorted edge-id tuples in lexicographic order.
+def optimal_trees(n: int, links, h_links, phi: int):
+    """One layout (tree, signed, outside) per distinct set of tree H-edges
+    of the spanning trees attaining Phi, sorted by tree.
+
+    n is the number of vertices, and links, h_links and phi are what
+    graph._split returns for the graph: every edge and the H-edges as
+    (id, u, v) links in id order, and Phi(G).  tree is a sorted edge-id
+    tuple, signed its H-links and outside the other H-links, both in
+    h_links order, as bounds._search reads them.
 
     The tree H-edges of an optimal tree are a basis B of the H-subgraph's
     graphic matroid, and every basis occurs.  For each B the tree is the
@@ -75,10 +82,8 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     complete it.  Nothing here limits that count; the bounds check it
     against their budget before calling.
     """
-    n = len(g.vertices)
-    links, h_links, *_, phi = _split(g)
     rank = len(h_links) - phi
-    trees = []
+    layouts = []
     for basis in itertools.combinations(h_links, rank):
         parent = list(range(n))
         if len(_grow(parent, basis)) < rank:
@@ -88,5 +93,6 @@ def optimal_trees(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
         tree = {eid for eid, _, _ in basis}.union(_grow(parent, links))
         if len(tree) != n - 1:
             raise ValueError("graph has no spanning tree (disconnected)")
-        trees.append(tuple(e.id for e in g.edges if e.id in tree))
-    return tuple(sorted(trees))
+        layouts.append((tuple([eid for eid, _, _ in links if eid in tree]), basis,
+                        [link for link in h_links if link[0] not in tree]))
+    return tuple(sorted(layouts))

@@ -23,7 +23,8 @@ from gmbound import (
     is_valid,
 )
 from gmbound.gl2 import H, is_plus_minus_h, normalize
-from gmbound.graph import EdgeMove, normalize_all
+from gmbound.graph import EdgeMove, _split, normalize_all
+from gmbound.spanning import optimal_trees
 
 # ---------------------------------------------------------------------------
 # reference helpers
@@ -77,6 +78,13 @@ def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
     """Number of H-edges outside the tree, given by its edge ids."""
     inside = set(tree)
     return sum(1 for e in g.edges if e.id not in inside and is_plus_minus_h(e.matrix))
+
+
+def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
+    """The trees of spanning.optimal_trees for g, from one graph._split, as
+    the bounds call it."""
+    links, h_links, *_, capital = _split(g)
+    return tuple([tree for tree, _, _ in optimal_trees(len(g.vertices), links, h_links, capital)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,10 @@ from gmbound.gl2 import H, cf_sum, is_normalized, is_plus_minus_h, normalize
 from gmbound.graph import degree_stats, graph_from_json, graph_to_json
 from gmbound.oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
 from gmbound.seifert import handle_count
-from gmbound.spanning import capital_phi, optimal_trees
+from gmbound.spanning import capital_phi
 from sample_graphs import (
     h_pair,
+    optimal_tree_ids,
     parallel_h,
     random_det_minus_one_matrix,
     random_multigraph,
@@ -195,7 +196,7 @@ def _visit_windows(g) -> tuple[int, int]:
         "-": ((0, 1), (0, 2)),
         "--": ((0, 2), (0, 1)),
     }
-    for tree in optimal_trees(g):
+    for tree in optimal_tree_ids(g):
         inside = set(tree)
         tree_h = [e for e in h_edges if e.id in inside]
         outer_h = [e for e in h_edges if e.id not in inside]

@@ -15,16 +15,18 @@ from gmbound.bounds import (
     BoundReport,
     CapExceeded,
     TheoremInapplicable,
+    VertexTerms,
     best_bound,
     bound_general,
     bound_regular,
     bound_tree,
 )
-from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
+from gmbound.gl2 import H, Gl2Matrix, cf_sum, is_plus_minus_h, matrix_complexity
 from gmbound.graph import (
     DecompositionGraph,
     Edge,
     SeifertData,
+    _split,
     build_graph,
     degree_stats as _stats,
     graph_from_json,
@@ -33,7 +35,7 @@ from gmbound.graph import (
     normalize_all,
     validate,
 )
-from gmbound.oracle import bruteforce_min_f, f
+from gmbound.oracle import _add_six_valued, _sign_extras, _spans, _window_penalty_sum, bruteforce_min_f, f
 from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
     compose,
@@ -305,19 +307,28 @@ def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
 
 def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
     # the tree scan checks comb(|H|, Phi) <= 2^|H| <= 2^(|H|-Phi) * 6^Phi
-    # subsets, so the assignment cap checked before it is its only limit
-    assert list(inspect.signature(optimal_trees).parameters) == ["g"]
-    seen = []
+    # subsets, so the assignment cap checked before it is its only limit;
+    # each bound calls it once, with the links and Phi of its own split
+    assert list(inspect.signature(optimal_trees).parameters) == ["n", "links", "h_links", "phi"]
+    splits, seen = [], []
+
+    def splitting(g):
+        splits.append(_split(g))
+        return splits[-1]
 
     def recording(*args, **kwargs):
         seen.append((args, kwargs))
         return optimal_trees(*args, **kwargs)
 
+    monkeypatch.setattr("gmbound.bounds._split", splitting)
     monkeypatch.setattr("gmbound.bounds.optimal_trees", recording)
     g = parallel_h()
     for cap in (12, 10**7):
         assert best_bound(g, assignment_cap=cap).total == 12
-    assert seen == [((g,), {}), ((g,), {})]
+    assert len(splits) == len(seen) == 2
+    for (links, h_links, *_, capital), (args, kwargs) in zip(splits, seen):
+        assert kwargs == {} and len(args) == 4
+        assert args[0] == len(g.vertices) and args[1] is links and args[2] is h_links and args[3] == capital == 1
 
 
 def test_the_cap_is_keyword_only():
@@ -433,9 +444,92 @@ def test_bound_invariant_under_orientation_reversal():
                 == (reference.theorem, reference.total, reference.phi_term, reference.min_penalty))
 
 
-def test_one_bound_classifies_each_edge_at_most_twice(monkeypatch):
-    # graph._split tells H-edges from the others once per bound, and
-    # optimal_trees, which takes the graph alone, once more; gl2's own
+def _replay(g: DecompositionGraph, report: BoundReport) -> None:
+    """Check a report against its own witness, replayed with the oracle's
+    bookkeeping: degrees from the raw edges, the H-rank from a plain
+    traversal of the H-edges, nothing from graph._split or the search."""
+    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
+    h_ids = [e.id for e in h_edges]
+    psi, psi_prime = report.witness_psi or (), report.witness_psi_prime or ()
+    signs, six = dict(psi), dict(psi_prime)
+    # the labels cover exactly the H-edges, once each, in id order
+    assert sorted([eid for eid, _ in psi + psi_prime]) == h_ids
+    assert [eid for eid, _ in psi] == [eid for eid in h_ids if eid in signs]
+    assert [eid for eid, _ in psi_prime] == [eid for eid in h_ids if eid in six]
+    assert set(signs.values()) <= {"+", "-"}
+    assert set(six.values()) <= {"++", "+", "+-", "-+", "-", "--"}
+    assert (report.witness_psi is None) == (report.theorem == "regular") == (not h_edges)
+    neighbours = {vid: [] for vid in g.vertices}
+    for e in h_edges:
+        neighbours[e.src].append(e.dst)
+        neighbours[e.dst].append(e.src)
+    seen, components = set(), 0
+    for start in g.vertices:
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            todo = [start]
+            while todo:
+                for nxt in neighbours[todo.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+    assert report.phi_term == len(psi_prime) == len(h_edges) - (len(g.vertices) - components)
+    if report.theorem == "general":
+        inside = set(report.witness_tree)
+        tree = [e for e in g.edges if e.id in inside]
+        assert len(tree) == len(report.witness_tree) == len(g.vertices) - 1
+        assert _spans(list(g.vertices), tree)
+        assert [eid for eid in h_ids if eid in inside] == [eid for eid, _ in psi]
+        assert len([eid for eid in h_ids if eid not in inside]) == report.phi_term
+    else:
+        assert report.witness_tree is None and report.witness_psi_prime is None
+
+    plus, minus = _sign_extras([e for e in h_edges if e.id in signs], [label for _, label in psi])
+    for e in h_edges:
+        if e.id in six:
+            _add_six_valued(plus, minus, e, six[e.id])
+    vertex_terms = []
+    for vid, s in g.vertices.items():
+        d_plus = sum(1 for e in g.edges if not is_plus_minus_h(e.matrix) and e.src == vid)
+        d_minus = sum(1 for e in g.edges if not is_plus_minus_h(e.matrix) and e.dst == vid)
+        d = sum((e.src == vid) + (e.dst == vid) for e in g.edges)
+        r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
+        penalty = f(1 - r - h - d_minus - minus.get(vid, 0), h + d_plus + plus.get(vid, 0) - 1, s.b)
+        vertex_terms.append((vid, VertexTerms(3 * (d + r + 2 * h - 2), sum([cf_sum(p, q) - 2 for p, q in s.fibres]),
+                                              penalty)))
+    assert report.vertex_terms == tuple(vertex_terms)
+    assert report.min_penalty == sum([t.penalty for _, t in vertex_terms]) == _window_penalty_sum(g, plus, minus)
+    assert report.edge_terms == tuple([(e.id, matrix_complexity(e.matrix))
+                                       for e in g.edges if not is_plus_minus_h(e.matrix)])
+    assert report.cycle_term == 5 * (len(g.edges) - len(g.vertices) + 1)
+    assert report.total == (report.cycle_term + report.phi_term + sum([v for _, v in report.edge_terms])
+                            + sum([t.total for _, t in vertex_terms]))
+
+
+def test_every_witness_replays_on_the_presentation_sweep():
+    # the witness of each report on the presentation sweep's graphs (same
+    # seed, same draws), up to 40 pieces and past the oracles' reach, gives
+    # back its every term when replayed; this shows each total is the
+    # formula's value at a witness, not that it is the least one
+    rng = random.Random(20261018)
+    graphs = []
+    for _ in range(300):
+        closing = rng.randint(0, 2)
+        n = rng.randint(15, 40)
+        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
+    for shape in ("components", "star", "parallel", "loops"):
+        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
+    theorems = set()
+    for g in graphs:
+        report = best_bound(g)
+        theorems.add(report.theorem)
+        _replay(g, report)
+    assert theorems == {"regular", "tree", "general"}
+
+
+def test_one_bound_classifies_each_edge_once(monkeypatch):
+    # graph._split tells H-edges from the others once per bound; gl2's own
     # binding prices non-H labels by another rule and is left alone
     rng = random.Random(22)
     graphs = [normalize_all(graph_from_json(path.read_text()))[0] for path in sorted(FIXTURES.glob("*.json"))]
@@ -453,7 +547,7 @@ def test_one_bound_classifies_each_edge_at_most_twice(monkeypatch):
     for g in graphs:
         calls.clear()
         theorems.add(best_bound(g).theorem)
-        assert len(calls) <= 2 * len(g.edges), graph_to_json(g)
+        assert len(calls) <= len(g.edges), graph_to_json(g)
     assert theorems == {"regular", "tree", "general"}
 
 

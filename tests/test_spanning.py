@@ -8,10 +8,10 @@ import pytest
 
 from gmbound.bounds import CapExceeded, best_bound
 from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
-from gmbound.graph import Edge, SeifertData, build_graph, is_valid
+from gmbound.graph import Edge, SeifertData, _split, build_graph, is_valid
 from gmbound.oracle import _all_spanning_trees, bruteforce_phi
 from gmbound.spanning import _grow, capital_phi, is_spanning_tree, optimal_trees
-from sample_graphs import parallel_h, phi, random_multigraph, single_loop
+from sample_graphs import optimal_tree_ids, parallel_h, phi, random_multigraph, single_loop
 
 _DISK = SeifertData(0, ((2, 1), (2, 1)), 0)
 _M = Gl2Matrix(1, 2, 1, 1)
@@ -38,7 +38,7 @@ def test_loops_never_enter_trees():
         [Edge("e1", "v1", "v2", _M), Edge("e2", "v1", "v1", H)],
     )
     assert _all_trees(g) == [("e1",)]
-    assert optimal_trees(g) == (("e1",),)
+    assert optimal_tree_ids(g) == (("e1",),)
     assert is_spanning_tree(g, ("e1",))
     assert not is_spanning_tree(g, ("e2",))
     assert not is_spanning_tree(g, ())
@@ -63,12 +63,12 @@ def test_capital_phi_examples():
 
 
 def test_optimal_trees_triangle():
-    best = optimal_trees(_triangle_graph())
+    best = optimal_tree_ids(_triangle_graph())
     assert best == (("e1", "e2"),)
 
 
 def test_optimal_trees_keep_all_minimisers():
-    best = optimal_trees(parallel_h())
+    best = optimal_tree_ids(parallel_h())
     assert best == (("e1",), ("e2",))
 
 
@@ -78,7 +78,7 @@ def test_optimal_trees_refuse_a_disconnected_graph():
         [Edge("e1", "v1", "v2", H), Edge("e2", "v3", "v3", _M)],
     )
     with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
-        optimal_trees(g)
+        optimal_tree_ids(g)
 
 
 def test_tree_cap():
@@ -91,7 +91,7 @@ def test_tree_cap():
         edges.append(Edge(f"e{2 * i + 1}", u, v, H))
         edges.append(Edge(f"e{2 * i + 2}", u, v, H))
     g = build_graph(vertices, edges)
-    assert len(optimal_trees(g)) == 32
+    assert len(optimal_tree_ids(g)) == 32
     # the one budget bounds the scan: 2^3 * 6^5 labelings per tree, 8 H-edges
     with pytest.raises(CapExceeded) as info:
         best_bound(g, assignment_cap=62207)
@@ -121,11 +121,18 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     shared = 0
     for g in graphs:
         classes = _optimal_trees_by_h_basis(g)
-        assert optimal_trees(g) == tuple(trees[0] for trees in classes.values())
+        links, h_links, *_, capital = _split(g)
+        layouts = optimal_trees(len(g.vertices), links, h_links, capital)
+        assert tuple(tree for tree, _, _ in layouts) == tuple(trees[0] for trees in classes.values())
+        # each layout splits the H-edges, as (id, u, v) links in id order, by its tree
+        index = {vid: i for i, vid in enumerate(g.vertices)}
+        h_edges = [(e.id, index[e.src], index[e.dst]) for e in g.edges if is_plus_minus_h(e.matrix)]
+        for tree, signed, outside in layouts:
+            assert list(signed) == [link for link in h_edges if link[0] in tree]
+            assert list(outside) == [link for link in h_edges if link[0] not in tree]
         # the premise of the one search budget: the assignment count bounds the layouts
-        h, capital = sum(is_plus_minus_h(e.matrix) for e in g.edges), capital_phi(g)
-        assert len(optimal_trees(g)) <= 2 ** (h - capital) * 6**capital
-        assert len(optimal_trees(g)) <= math.comb(h, capital)
+        assert len(layouts) <= 2 ** (len(h_edges) - capital) * 6**capital
+        assert len(layouts) <= math.comb(len(h_edges), capital)
         shared += any(len(trees) > 1 for trees in classes.values())
     assert shared >= 100  # many draws have several optimal trees per set of H-edges
 
@@ -149,12 +156,13 @@ def test_deep_graphs_need_no_recursion():
 
 
 def test_tree_enumeration_memory_does_not_grow_with_depth():
-    # an H-cycle has one optimal tree per H-edge left out; beyond the trees
+    # an H-cycle has one optimal tree per H-edge left out; beyond the layouts
     # it returns, the scan holds one union-find and one subset at a time
     g = _cycle(500, matrix=H)
+    links, h_links, *_, capital = _split(g)
     tracemalloc.start()
     try:
-        trees = optimal_trees(g)
+        trees = optimal_trees(len(g.vertices), links, h_links, capital)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -193,7 +201,7 @@ def test_optimal_trees_realise_capital_phi():
         n = rng.randint(1, 5)
         e = rng.randint(max(1, n - 1), 8)
         g = random_multigraph(rng, n, e)
-        best = optimal_trees(g)
+        best = optimal_tree_ids(g)
         target = capital_phi(g)
         assert best
         for t in best:
