@@ -28,9 +28,11 @@ The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
 graph into that instance, from one graph._split, the pass that classifies
-each edge as H or not once and finds Phi, and from the layouts that
-optimal_trees builds from that split's links, so a bound classifies each
-edge once; and tests can pin the search on instances built directly.
+each edge as H or not once and grows the H-forest, for Phi, and its one
+completion, and from the layouts that optimal_trees builds from that
+split's H-links, Phi and completion, each an H-basis plus the completion,
+so a bound classifies each edge once and grows each forest once; and tests
+can pin the search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -293,7 +295,7 @@ def _search(layouts, short, over):
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply."""
-    links, h_links, rest, plus, minus, zero, phi_value = _split(g)
+    h_links, rest, plus, minus, zero, completion, phi_value = _split(g)
     if theorem is None:
         theorem = "general" if phi_value else "tree" if h_links else "regular"
     elif theorem == "regular" and h_links:
@@ -311,8 +313,8 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
             needed=count)
     # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
     # subsets, so the check above is its only budget; it also refuses a
-    # disconnected or empty graph, before any window is checked
-    layouts = optimal_trees(len(g.vertices), links, h_links, phi_value)
+    # disconnected or empty graph, before its scan and any window check
+    layouts = optimal_trees(len(g.vertices), h_links, phi_value, completion)
 
     short, over, fixed = [], [], []
     for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), plus, minus, zero):

@@ -9,9 +9,11 @@ matrix by its (re-normalized) inverse.
 
 Edges with matrix +-H play a special role in the bound evaluators and are
 referred to as H-edges throughout; _split tells them from the other edges
-in one pass, splits vertex degrees accordingly and finds Phi, the H-edges
-a greedy forest over them cannot take.  validate, degree_stats, spanning
-and bounds all read H-ness, degrees and Phi from it.
+in one pass, splits vertex degrees accordingly and grows one union-find:
+a greedy forest over the H-edges, whose leftovers are Phi, and then its
+completion over every edge, the non-H edges that join what the H-forest
+leaves apart.  validate, degree_stats, spanning and bounds all read
+H-ness, degrees, Phi and the completion from it.
 
 Each check runs in one place:
 
@@ -27,9 +29,10 @@ Each check runs in one place:
                    normalize checks the first two on its input only, as its
                    output is normalized by construction, and normalize_all
                    puts the edge id in front of its errors;
-  validate         admissibility: at least one edge, connected (asked of
-                   the union-find _grow below, which _split grows for Phi
-                   and spanning for the optimal trees), every edge label
+  validate         admissibility: at least one edge, connected (read off
+                   the one union-find _split grows, whose H-forest and
+                   completion together span the graph exactly when they
+                   hold n - 1 edges), every edge label
                    normalized (one is_normalized call each, whose error
                    becomes the violation), well-formed fibres, class S for
                    the vertex degree, and the small-graph exclusions (i)
@@ -125,7 +128,7 @@ def degree(g: DecompositionGraph, vid: str) -> int:
 
 
 def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
-    plus, minus, zero = _split(g)[3:6]
+    plus, minus, zero = _split(g)[2:5]
     return {vid: DegreeStats(p + m + z, p, m, z) for vid, p, m, z in zip(g.vertices, plus, minus, zero)}
 
 
@@ -142,16 +145,23 @@ def _links(g: DecompositionGraph) -> list[tuple[str, int, int]]:
 
 
 def _split(g: DecompositionGraph):
-    """Each edge classified once: (links, h_links, rest, plus, minus, zero, phi).
+    """Each edge classified once: (h_links, rest, plus, minus, zero,
+    completion, phi).
 
-    links is _links(g), h_links the H-links among them, and rest the other
-    edges, in id order.  plus, minus and zero count, per vertex index, the
-    non-H out-ends, the non-H in-ends and the H-ends, as DegreeStats does;
-    a loop gives both of its ends to its vertex.  phi is Phi(G): the
-    H-links that one greedy forest over h_links cannot take, every H-loop
-    among them.  Spanning forests form a matroid, so that is the fewest
-    H-edges any spanning tree of a connected graph leaves out.  A bound
-    makes one call and hands links, h_links and phi on to
+    h_links are the H-edges as (id, u, v) links of _links(g), and rest the
+    other edges, both in id order.  plus, minus and zero count, per vertex
+    index, the non-H out-ends, the non-H in-ends and the H-ends, as
+    DegreeStats does; a loop gives both of its ends to its vertex.
+
+    One union-find is grown, in two passes.  The first takes h_links
+    greedily; phi is Phi(G), the H-links it cannot take, every H-loop among
+    them.  Spanning forests form a matroid, so that is the fewest H-edges
+    any spanning tree of a connected graph leaves out.  The second goes on
+    over every link in id order: its union-find already joins each
+    H-component, so it takes no H-link, and completion is the ids of the
+    non-H links it adds, in id order.  The H-forest and completion hold
+    n - 1 edges exactly when the graph is connected.  A bound makes one
+    call and hands h_links, phi and completion on to
     spanning.optimal_trees, which makes none.
     """
     n = len(g.vertices)
@@ -168,7 +178,9 @@ def _split(g: DecompositionGraph):
             rest.append(e)
             plus[u] += 1
             minus[v] += 1
-    return links, h_links, rest, plus, minus, zero, len(h_links) - len(_grow(list(range(n)), h_links))
+    parent = list(range(n))
+    phi = len(h_links) - len(_grow(parent, h_links))
+    return h_links, rest, plus, minus, zero, _grow(parent, links), phi
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -232,10 +244,10 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     if not g.edges:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
-    links, h_links, _, plus, minus, zero, _ = _split(g)
-    n = len(g.vertices)
-    # a spanning forest of n vertices has n - 1 edges exactly when it is one tree
-    if len(_grow(list(range(n)), links)) != n - 1:
+    h_links, _, plus, minus, zero, completion, phi = _split(g)
+    # a spanning forest of n vertices has n - 1 edges exactly when it is one
+    # tree, and _split's H-forest and completion are one spanning forest
+    if len(h_links) - phi + len(completion) != len(g.vertices) - 1:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:

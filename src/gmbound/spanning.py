@@ -16,13 +16,14 @@ count known before the scan starts, which the bounds check against their
 budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
-Every forest is grown by the union-find of graph (_grow), the one validate
-asks whether the graph is connected.  Its links come from graph._split,
-the one pass that tells H-edges apart and grows their greedy forest for
-Phi: optimal_trees takes the links, the H-links and Phi of its caller's
-split and makes none of its own, so a bound classifies each edge once;
-capital_phi reads _split, and is_spanning_tree filters _links.  This
-module keeps only the bound's forest questions.
+Every forest is grown by the union-find of graph (_grow).  graph._split,
+the one pass that tells H-edges apart, grows it once per graph: the greedy
+H-forest, for Phi, and then its completion over every edge, which is the
+same for every basis and which validate reads for connectivity.
+optimal_trees takes the H-links, Phi and completion of its caller's split
+and makes none of its own, so a bound classifies each edge once and
+completes no tree; capital_phi reads _split, and is_spanning_tree filters
+_links.  This module keeps only the bound's forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -59,40 +60,44 @@ def capital_phi(g: DecompositionGraph) -> int:
     return _split(g)[-1]
 
 
-def optimal_trees(n: int, links, h_links, phi: int):
+def optimal_trees(n: int, h_links, phi: int, completion):
     """One layout (tree, signed, outside) per distinct set of tree H-edges
-    of the spanning trees attaining Phi, sorted by tree.
+    of the spanning trees attaining Phi, in tree order.
 
-    n is the number of vertices, and links, h_links and phi are what
-    graph._split returns for the graph: every edge and the H-edges as
-    (id, u, v) links in id order, and Phi(G).  tree is a sorted edge-id
-    tuple, signed its H-links and outside the other H-links, both in
-    h_links order, as bounds._search reads them.
+    n is the number of vertices, and h_links, phi and completion are what
+    graph._split returns for the graph: the H-edges as (id, u, v) links in
+    id order, Phi(G), and the ids of the non-H edges that complete its
+    greedy H-forest to a spanning tree.  tree is a sorted edge-id tuple,
+    signed its H-links and outside the other H-links, both in h_links
+    order, as bounds._search reads them.
 
     The tree H-edges of an optimal tree are a basis B of the H-subgraph's
-    graphic matroid, and every basis occurs.  For each B the tree is the
-    greedy completion of B over all edges in id order, which is the
-    lexicographically first tree holding B; every other H-edge closes a
-    cycle, because B is maximal.  So the result is the first tree of each
-    class of optimal trees sharing their H-edges.
+    graphic matroid, and every basis occurs.  Every basis joins the same
+    vertices, the H-components, so the greedy completion of B over all
+    edges in id order adds the same edges, completion, whatever B is; the
+    tree is B plus completion, the lexicographically first tree holding B,
+    and every other H-edge closes a cycle, because B is maximal.  So the
+    result is the first tree of each class of optimal trees sharing their
+    H-edges.  A graph whose H-forest and completion hold fewer than n - 1
+    edges is disconnected, and is refused before the scan starts.
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
-    O(n) memory, and a union-find that takes the whole subset goes on to
-    complete it.  Nothing here limits that count; the bounds check it
-    against their budget before calling.
+    O(n) memory.  Nothing here limits that count; the bounds check it
+    against their budget before calling.  The layouts come out in tree
+    order without sorting: two sorted id tuples of equal length compare as
+    the least id of their symmetric difference, the one holding it coming
+    first.  completion holds no H-edge and is shared, so the symmetric
+    difference of two trees is that of their bases, and combinations over
+    the id-ordered h_links yields the bases in that order.
     """
     rank = len(h_links) - phi
+    if rank + len(completion) != n - 1:
+        raise ValueError("graph has no spanning tree (disconnected)")
     layouts = []
     for basis in itertools.combinations(h_links, rank):
-        parent = list(range(n))
-        if len(_grow(parent, basis)) < rank:
+        if len(_grow(list(range(n)), basis)) < rank:
             continue
-        # parent has joined all of B, so growing it over every edge in id
-        # order completes B to the first tree that holds it
-        tree = {eid for eid, _, _ in basis}.union(_grow(parent, links))
-        if len(tree) != n - 1:
-            raise ValueError("graph has no spanning tree (disconnected)")
-        layouts.append((tuple([eid for eid, _, _ in links if eid in tree]), basis,
-                        [link for link in h_links if link[0] not in tree]))
-    return tuple(sorted(layouts))
+        tree = {eid for eid, _, _ in basis}.union(completion)
+        layouts.append((tuple(sorted(tree)), basis, [link for link in h_links if link[0] not in tree]))
+    return layouts

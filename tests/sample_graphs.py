@@ -83,8 +83,8 @@ def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
 def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     """The trees of spanning.optimal_trees for g, from one graph._split, as
     the bounds call it."""
-    links, h_links, *_, capital = _split(g)
-    return tuple([tree for tree, _, _ in optimal_trees(len(g.vertices), links, h_links, capital)])
+    h_links, *_, completion, capital = _split(g)
+    return tuple([tree for tree, _, _ in optimal_trees(len(g.vertices), h_links, capital, completion)])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from gmbound.graph import (
     normalize_all,
     validate,
 )
-from gmbound.oracle import _spans, bruteforce_phi
+from gmbound.oracle import _all_spanning_trees, _spans, bruteforce_phi
 from gmbound.spanning import capital_phi
 from sample_graphs import (
     U,
@@ -118,7 +118,8 @@ def test_degree_stats_h_loop():
 def test_the_split_agrees_with_the_raw_edge_list():
     # graph._split classifies each edge once for every reader; here each of
     # its answers is recounted from e.src, e.dst and the matrix alone, and
-    # its Phi from every spanning tree wherever the graph has one
+    # its Phi and completion from every spanning tree wherever the graph
+    # has one
     rng = random.Random(22)
     graphs = []
     for _ in range(300):
@@ -128,11 +129,26 @@ def test_the_split_agrees_with_the_raw_edge_list():
     for g in graphs:
         is_h = [gl2.is_plus_minus_h(e.matrix) for e in g.edges]
         index = {vid: i for i, vid in enumerate(g.vertices)}
-        links, h_links, rest, *_, phi = graph._split(g)
-        assert links == graph._links(g)
+        h_links, rest, *_, completion, phi = graph._split(g)
         assert phi == capital_phi(g)
-        if _spans(list(g.vertices), g.edges):
+        # the completion: non-H ids only, in id order, and with the H-forest
+        # one spanning forest, a tree exactly when the graph is connected
+        done = set(completion)
+        assert completion == [e.id for e, h in zip(g.edges, is_h) if e.id in done and not h]
+        connected = _spans(list(g.vertices), g.edges)
+        assert (len(h_links) - phi + len(completion) == len(g.vertices) - 1) == connected, graph_to_json(g)
+        if connected:
             assert phi == bruteforce_phi(g), graph_to_json(g)
+            # the first tree of each class of optimal trees sharing their
+            # H-edges is those H-edges plus the completion
+            classes = {}
+            for tree in _all_spanning_trees(g):
+                ids = tuple(sorted(e.id for e in tree))
+                inside = frozenset(e.id for e, h in zip(g.edges, is_h) if h and e.id in ids)
+                if len(inside) == len(h_links) - phi:
+                    classes.setdefault(inside, []).append(ids)
+            assert classes
+            assert all(min(trees) == tuple(sorted(done | inside)) for inside, trees in classes.items())
         assert h_links == [(e.id, index[e.src], index[e.dst]) for e, h in zip(g.edges, is_h) if h]
         assert rest == [e for e, h in zip(g.edges, is_h) if not h]
         stats = degree_stats(g)

@@ -81,6 +81,29 @@ def test_optimal_trees_refuse_a_disconnected_graph():
         optimal_tree_ids(g)
 
 
+def test_a_disconnected_graph_is_refused_before_the_scan(monkeypatch):
+    # a path of k H-digons has 2^k bases among comb(2k, k) subsets, and a
+    # pair of pieces off to the side leaves every one of them short of a
+    # spanning tree; the refusal must come before any subset is checked,
+    # whatever the budget, or its cost grows with comb(2k, k)
+    k = 10
+    vertices = {f"v{i:02d}": _DISK for i in range(k + 1)} | {"w1": _DISK, "w2": _DISK}
+    edges = [Edge("w", "w1", "w2", _M)]
+    for i in range(k):
+        edges += [Edge(f"d{i:02d}{side}", f"v{i:02d}", f"v{i + 1:02d}", H) for side in "ab"]
+    g = build_graph(vertices, edges)
+    checks = []
+
+    def counting(parent, links):
+        checks.append(len(links))
+        return _grow(parent, links)
+
+    monkeypatch.setattr("gmbound.spanning._grow", counting)
+    with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
+        best_bound(g, assignment_cap=10**40)
+    assert checks == []
+
+
 def test_tree_cap():
     # doubled 4-cycle of H-edges: 4 * 2^3 = 32 spanning trees, each holding
     # a different set of H-edges, so all 32 are returned as optimal trees
@@ -121,8 +144,8 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     shared = 0
     for g in graphs:
         classes = _optimal_trees_by_h_basis(g)
-        links, h_links, *_, capital = _split(g)
-        layouts = optimal_trees(len(g.vertices), links, h_links, capital)
+        h_links, *_, completion, capital = _split(g)
+        layouts = optimal_trees(len(g.vertices), h_links, capital, completion)
         assert tuple(tree for tree, _, _ in layouts) == tuple(trees[0] for trees in classes.values())
         # each layout splits the H-edges, as (id, u, v) links in id order, by its tree
         index = {vid: i for i, vid in enumerate(g.vertices)}
@@ -159,10 +182,10 @@ def test_tree_enumeration_memory_does_not_grow_with_depth():
     # an H-cycle has one optimal tree per H-edge left out; beyond the layouts
     # it returns, the scan holds one union-find and one subset at a time
     g = _cycle(500, matrix=H)
-    links, h_links, *_, capital = _split(g)
+    h_links, *_, completion, capital = _split(g)
     tracemalloc.start()
     try:
-        trees = optimal_trees(len(g.vertices), links, h_links, capital)
+        trees = optimal_trees(len(g.vertices), h_links, capital, completion)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
