@@ -5,9 +5,9 @@ one term cf_sum(|beta|, |delta|) - 1 per non-H edge, plus a vertex term
 3(d + r + 2h - 2) + sum(cf_sum(p, q) - 2) per piece, plus the least sum of
 penalties f, one per vertex, each measuring how far b lies from a window
 [m, M] set by the degree bookkeeping.  One search minimizes that penalty
-sum over layouts, each a spanning tree with its H-edges split into signed
-ones and six-valued ones.  Every layout comes from optimal_trees: one per
-distinct set T & H of H-edges inside an optimal spanning tree T, taking the
+sum over layouts, each a split of the H-edges into signed ones, T & H, and
+six-valued ones.  Every layout comes from optimal_trees: one per distinct
+set T & H of H-edges inside an optimal spanning tree T, standing for the
 first such tree, since the penalties depend on T only through T & H.  A
 disconnected or empty graph has no spanning tree, so every evaluator
 refuses it.  The three theorems are three labels over the search:
@@ -22,7 +22,9 @@ refuses it.  The three theorems are three labels over the search:
                   outside, paying Phi(G) for those.
 
 Only bound_general reports its tree as a witness; the other two have a
-single tree and report None.
+single tree and report None.  A layout holds no tree: _bound builds the one
+it reports, psi's H-edges plus the completion that every basis shares, and
+only in general mode.
 
 The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
@@ -30,9 +32,9 @@ vertex indices, the format of graph's union-find.  _bound alone turns a
 graph into that instance, from one graph._split, the pass that classifies
 each edge as H or not once and grows the H-forest, for Phi, and its one
 completion, and from the layouts that optimal_trees builds from that
-split's H-links, Phi and completion, each an H-basis plus the completion,
-so a bound classifies each edge once and grows each forest once; and tests
-can pin the search on instances built directly.
+split's H-links, Phi and completion, each an H-basis and the H-edges
+outside it, so a bound classifies each edge once and grows each forest
+once; and tests can pin the search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -208,17 +210,14 @@ class BoundReport:
 def _search(layouts, short, over):
     """First labeling of least penalty sum over all layouts.
 
-    An instance is plain integers and ids.  A layout is (tree, signed,
-    outside): the witness tree, then the signed and the six-valued
-    H-edges, each an (id, u, v) link of vertex indices, source first, in
-    the order they are labeled.  short and over are lists holding
-    each vertex's m - b and b - M before any label; its penalty is the sum
-    of their positive parts once the labels take d- off short and d+ off
-    over.  Returns
-    (per-vertex penalties, tree, psi, psi'), psi and psi' as (id, label)
-    pairs.  _bound passes the layouts of optimal_trees; a tree of None
-    comes only from instances built directly, as tests/test_search.py
-    builds them.
+    An instance is plain integers and ids.  A layout is (signed,
+    outside): the signed and the six-valued H-edges, each an (id, u, v)
+    link of vertex indices, source first, in the order they are labeled.
+    short and over are lists holding each vertex's m - b and b - M before
+    any label; its penalty is the sum of their positive parts once the
+    labels take d- off short and d+ off over.  Returns (per-vertex
+    penalties, psi, psi'), psi and psi' as (id, label) pairs; psi names the
+    winning layout's signed edges, so the search carries no tree.
 
     Each layout is searched depth first without recursion, one edge per
     depth: steps[d] is that edge as (id, u, v, label rows), picks[d] the
@@ -238,7 +237,7 @@ def _search(layouts, short, over):
     """
     n = len(short)
     best, least = None, float("inf")
-    for tree, signed, outside in layouts:
+    for signed, outside in layouts:
         # slot n stands in for the second end of a loop
         lack, want, steps = short + [0], over + [0], []
         for group, tables in ((signed, _SIGN_TABLES), (outside, _PSI_PRIME_TABLES)):
@@ -261,7 +260,7 @@ def _search(layouts, short, over):
                     least = sums[depth]
                     pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
                     witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _, rows), p in zip(steps, picks)])
-                    best = pens, tree, witness[:len(signed)], witness[len(signed):]
+                    best = pens, witness[:len(signed)], witness[len(signed):]
                 depth -= 1
                 continue
             _, u, v, rows = steps[depth]
@@ -294,7 +293,11 @@ def _search(layouts, short, over):
 
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
-    specific one that applies, any other label is checked to apply."""
+    specific one that applies, any other label is checked to apply.
+
+    The only place a tree is built: in general mode, the witness tree is
+    psi's H-edges, the winning basis, plus the completion that every basis
+    shares, sorted.  Regular and tree mode report None and build none."""
     h_links, rest, plus, minus, zero, completion, phi_value = _split(g)
     if theorem is None:
         theorem = "general" if phi_value else "tree" if h_links else "regular"
@@ -330,7 +333,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         short.append(m - s.b)
         over.append(s.b - M)
         fixed.append((3 * (d_plus + d_minus + k + r + 2 * h - 2), sum([cf_sum(p, q) for p, q in s.fibres]) - 2 * r))
-    pens, tree, psi, psi_prime = _search(layouts, short, over)
+    pens, psi, psi_prime = _search(layouts, short, over)
 
     cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
     edge_terms = tuple([(e.id, matrix_complexity(e.matrix)) for e in rest])
@@ -345,7 +348,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
         min_penalty=min_penalty,
-        witness_tree=tree if theorem == "general" else None,
+        witness_tree=tuple(sorted([eid for eid, _ in psi] + completion)) if theorem == "general" else None,
         witness_psi=None if theorem == "regular" else psi,
         witness_psi_prime=psi_prime if theorem == "general" else None,
     )

@@ -13,6 +13,9 @@ malformed input or a bad cap value, 3 search cap exceeded, 4 oracle
 disagreement.  REFUSALS is the one place that maps an exception to its exit
 code and message prefix: main prints the refusal on stderr, batch on stdout
 under the file's header.  All output is deterministic for a given input.
+The oracle commands import gmbound.oracle, the checking code, when they
+run, so bound, batch, validate and normalize never load it or the flip
+search it uses.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 
 from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded, TheoremInapplicable, _bound, best_bound
 from .graph import DecompositionGraph, GraphFormatError, graph_from_json, graph_to_json, normalize_all, validate
-from .oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
 from .spanning import capital_phi
 
 EXIT_OK = 0
@@ -168,6 +170,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_oracle_lemma(args) -> int:
+    from .oracle import verify_lemma
+
     report = verify_lemma(args.beta_max)
     print(f"checked {report.checked} normalized matrices with 2 <= |beta| <= {report.beta_max}")
     print("special +-H cases: " + ("ok" if report.h_cases_ok else "FAILED"))
@@ -181,11 +185,12 @@ def cmd_oracle_lemma(args) -> int:
 
 
 def cmd_oracle_phi(args) -> int:
+    from .oracle import bruteforce_phi
+
     g = _load(args.file)
     if _print_issues(validate(g), sys.stderr):
         return EXIT_INVALID
-    greedy = capital_phi(g)
-    brute = bruteforce_phi(g)
+    greedy, brute = capital_phi(g), bruteforce_phi(g)
     if greedy == brute:
         print(f"Phi = {greedy} (greedy = brute force)")
         return EXIT_OK
@@ -194,13 +199,14 @@ def cmd_oracle_phi(args) -> int:
 
 
 def cmd_oracle_minf(args) -> int:
+    from .oracle import bruteforce_min_f
+
     g = _load(args.file)
     if _print_issues(validate(g), sys.stderr):
         return EXIT_INVALID
     mode = "tree" if capital_phi(g) == 0 else "general"
-    cap = args.max_assignments
-    production = _bound(g, mode, cap)
-    exhaustive = bruteforce_min_f(g, mode, assignment_cap=cap)
+    production = _bound(g, mode, args.max_assignments)
+    exhaustive = bruteforce_min_f(g, mode, assignment_cap=args.max_assignments)
     compared = (
         ("min", production.min_penalty, exhaustive.value),
         ("tree", production.witness_tree, exhaustive.tree),

@@ -7,7 +7,9 @@ which graph._split runs in its one pass over the edges, and a tree attains
 Phi exactly when its H-edges T & H form a basis of the H-subgraph's
 graphic matroid, a spanning forest of the H-edges.  Everything the bounds
 score depends on T only through T & H, so the optimal trees are enumerated
-one per basis.
+one per basis, each given by its H-edges alone: the basis, signed, and the
+other H-edges, outside.  Its tree is the basis plus a completion that every
+basis shares, and only a bound that reports a tree builds one.
 
 The bases are found by their definition: one scan of the rank-sized
 subsets of the H-edges, in lexicographic order, keeps each subset that a
@@ -22,8 +24,9 @@ H-forest, for Phi, and then its completion over every edge, which is the
 same for every basis and which validate reads for connectivity.
 optimal_trees takes the H-links, Phi and completion of its caller's split
 and makes none of its own, so a bound classifies each edge once and
-completes no tree; capital_phi reads _split, and is_spanning_tree filters
-_links.  This module keeps only the bound's forest questions.
+completes no tree; it reads the completion only to refuse a disconnected
+graph.  capital_phi reads _split, and is_spanning_tree filters _links.
+This module keeps only the bound's forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -61,35 +64,37 @@ def capital_phi(g: DecompositionGraph) -> int:
 
 
 def optimal_trees(n: int, h_links, phi: int, completion):
-    """One layout (tree, signed, outside) per distinct set of tree H-edges
-    of the spanning trees attaining Phi, in tree order.
+    """One layout (signed, outside) per distinct set of tree H-edges of the
+    spanning trees attaining Phi, in tree order.
 
     n is the number of vertices, and h_links, phi and completion are what
     graph._split returns for the graph: the H-edges as (id, u, v) links in
     id order, Phi(G), and the ids of the non-H edges that complete its
-    greedy H-forest to a spanning tree.  tree is a sorted edge-id tuple,
-    signed its H-links and outside the other H-links, both in h_links
-    order, as bounds._search reads them.
+    greedy H-forest to a spanning tree.  signed is a basis B, a tuple of
+    H-links, and outside the other H-links, both in h_links order, as
+    bounds._search reads them.  No tree is built.
 
     The tree H-edges of an optimal tree are a basis B of the H-subgraph's
     graphic matroid, and every basis occurs.  Every basis joins the same
     vertices, the H-components, so the greedy completion of B over all
-    edges in id order adds the same edges, completion, whatever B is; the
-    tree is B plus completion, the lexicographically first tree holding B,
-    and every other H-edge closes a cycle, because B is maximal.  So the
-    result is the first tree of each class of optimal trees sharing their
-    H-edges.  A graph whose H-forest and completion hold fewer than n - 1
-    edges is disconnected, and is refused before the scan starts.
+    edges in id order adds the same edges, completion, whatever B is; B
+    plus completion is the lexicographically first tree holding B, and
+    every other H-edge closes a cycle, because B is maximal.  So each
+    layout stands for the first tree of a class of optimal trees sharing
+    their H-edges, and a caller that needs that tree sorts B's ids with
+    completion.  A graph whose H-forest and completion hold fewer than
+    n - 1 edges is disconnected, and is refused before the scan starts.
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
-    O(n) memory.  Nothing here limits that count; the bounds check it
-    against their budget before calling.  The layouts come out in tree
-    order without sorting: two sorted id tuples of equal length compare as
-    the least id of their symmetric difference, the one holding it coming
-    first.  completion holds no H-edge and is shared, so the symmetric
-    difference of two trees is that of their bases, and combinations over
-    the id-ordered h_links yields the bases in that order.
+    O(n) memory; a layout holds H-links only, so the result does not grow
+    with the rest of the graph.  Nothing here limits the count; the bounds
+    check it against their budget before calling.  The bases come out in
+    tree order without sorting: two sorted id tuples of equal length
+    compare as the least id of their symmetric difference, the one holding
+    it coming first.  completion holds no H-edge and is shared, so two
+    trees compare as their bases do, and combinations over the id-ordered
+    h_links yields the bases in that order.
     """
     rank = len(h_links) - phi
     if rank + len(completion) != n - 1:
@@ -98,6 +103,6 @@ def optimal_trees(n: int, h_links, phi: int, completion):
     for basis in itertools.combinations(h_links, rank):
         if len(_grow(list(range(n)), basis)) < rank:
             continue
-        tree = {eid for eid, _, _ in basis}.union(completion)
-        layouts.append((tuple(sorted(tree)), basis, [link for link in h_links if link[0] not in tree]))
+        ids = {eid for eid, _, _ in basis}
+        layouts.append((basis, [link for link in h_links if link[0] not in ids]))
     return layouts

@@ -82,9 +82,10 @@ def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
 
 def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     """The trees of spanning.optimal_trees for g, from one graph._split, as
-    the bounds call it."""
+    the bounds call it: each layout's signed H-edges plus the completion."""
     h_links, *_, completion, capital = _split(g)
-    return tuple([tree for tree, _, _ in optimal_trees(len(g.vertices), h_links, capital, completion)])
+    return tuple([tuple(sorted([eid for eid, _, _ in signed] + completion))
+                  for signed, _ in optimal_trees(len(g.vertices), h_links, capital, completion)])
 
 
 # ---------------------------------------------------------------------------

@@ -288,7 +288,7 @@ def test_oracle_minf_gives_both_sides_the_budget(monkeypatch, capsys):
         caps.append(assignment_cap)
         return bruteforce_min_f(g, mode, assignment_cap=assignment_cap)
 
-    monkeypatch.setattr(cli, "bruteforce_min_f", exhaustive)
+    monkeypatch.setattr("gmbound.oracle.bruteforce_min_f", exhaustive)
     monkeypatch.setenv("MC_MAX_ASSIGNMENTS", str(10**7))
     assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
     monkeypatch.delenv("MC_MAX_ASSIGNMENTS")
@@ -351,7 +351,7 @@ def test_oracle_minf():
 
 def test_oracle_minf_compares_witnesses(monkeypatch, capsys):
     # same value as production, other witnesses: still a disagreement
-    monkeypatch.setattr(cli, "bruteforce_min_f",
+    monkeypatch.setattr("gmbound.oracle.bruteforce_min_f",
                         lambda g, mode, assignment_cap: MinFResult(0, ("e2",), (("e2", "+"),), (("e1", "++"),)))
     assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 4
     out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """The production modules and the package root import no checking code: the
 flip search in farey and the brute-force oracles check the bound and are no
-part of it."""
+part of it.  The CLI loads them only for its oracle commands."""
 
 from __future__ import annotations
 
@@ -55,3 +55,24 @@ def test_the_package_root_loads_and_exports_only_its_api():
     found = json.loads(out.stdout)
     assert found["loaded"] == []
     assert found["exported"] == found["all"]
+
+
+def test_the_cli_loads_checking_code_only_for_oracle_commands():
+    """`bound` and `validate` run without loading the oracle or the flip
+    search; only the `oracle` commands import them."""
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from gmbound import cli
+        fixture = sys.argv[1]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["bound", fixture]), cli.main(["validate", fixture])]
+        print(json.dumps({
+            "codes": codes,
+            "loaded": sorted(m for m in ("gmbound.oracle", "gmbound.farey") if m in sys.modules),
+        }))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    fixture = Path(__file__).parent / "fixtures" / "parallel_h.json"
+    out = subprocess.run([sys.executable, "-c", probe, str(fixture)], capture_output=True, text=True, check=True,
+                         env=env)
+    assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}

@@ -1,11 +1,12 @@
 """The labeling search against a plain brute force, on a complete finite box.
 
 bounds._search reads instances of plain integers: short and over hold each
-vertex's m - b and b - M, and each layout is (tree, signed, outside), its
-H-edges (id, u, v) links of vertex indices.  A labeling takes d- off short
-and d+ off over at every vertex, so a vertex pays
-max(0, short - d-) + max(0, over - d+), and the search returns the first
-labeling of least sum in enumeration order.
+vertex's m - b and b - M, and each layout is (signed, outside), its
+H-edges as (id, u, v) links of vertex indices.  A layout holds no tree;
+the bound builds its one witness tree from psi and the completion, outside
+the search.  A labeling takes d- off short and d+ off over at every vertex,
+so a vertex pays max(0, short - d-) + max(0, over - d+), and the search
+returns the first labeling of least sum in enumeration order.
 
 Why the box is complete over windows.  Let d be the most the labels can
 take off a vertex: 1 per signed end and 2 per six-valued end.  A short <= 0
@@ -47,7 +48,7 @@ SIX_VALUES = (
 def brute_force(layouts, short, over):
     """Score every labeling of every layout in order; keep the first least."""
     best = least = None
-    for tree, signed, outside in layouts:
+    for signed, outside in layouts:
         edges = signed + outside
         for labeling in itertools.product(*[SIGNS] * len(signed), *[SIX_VALUES] * len(outside)):
             plus, minus = [0] * len(short), [0] * len(short)
@@ -60,7 +61,7 @@ def brute_force(layouts, short, over):
             if least is None or sum(pens) < least:
                 least = sum(pens)
                 labels = tuple((eid, label) for (eid, _, _), (label, _) in zip(edges, labeling))
-                best = (pens, tree, labels[:len(signed)], labels[len(signed):])
+                best = (pens, labels[:len(signed)], labels[len(signed):])
     return best
 
 
@@ -105,7 +106,7 @@ def _box(n, signed_pairs, outside_pairs):
     """The instances of one shape: every window class, one past each end."""
     signed = _links(signed_pairs)
     outside = _links(outside_pairs, len(signed))
-    layouts = [(("t",), signed, outside)]
+    layouts = [(signed, outside)]
     for ts in itertools.product(*[range(-d - 1, d + 2) for d in _reach(n, signed, outside)]):
         yield layouts, list(ts), [-1 - t for t in ts]
 
@@ -158,13 +159,13 @@ def random_instances(count, seed):
                 pairs.append((u, v))
         pool = pairs + [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 2))]
         links = _links(pool)
-        layouts = [(("t0",), links[:len(pairs)], links[len(pairs):])]
+        layouts = [(links[:len(pairs)], links[len(pairs):])]
         if rng.random() < 0.25:
-            layouts.append((("t1",), *layouts[0][1:]))
+            layouts.append(layouts[0])
         elif rng.random() < 1 / 3:
             inside = set(rng.sample(links, len(pairs)))
-            layouts.append((("t1",), [e for e in links if e in inside], [e for e in links if e not in inside]))
-        d = [max(ds) for ds in zip(*[_reach(n, signed, outside) for _, signed, outside in layouts])]
+            layouts.append(([e for e in links if e in inside], [e for e in links if e not in inside]))
+        d = [max(ds) for ds in zip(*[_reach(n, signed, outside) for signed, outside in layouts])]
         yield (layouts, [rng.randint(-k - 1, k + 1) for k in d], [rng.randint(-k - 1, k + 1) for k in d])
 
 
@@ -173,8 +174,8 @@ def test_brute_force_scores_a_known_instance():
     # vertex 1 is 1 over it: -+ takes 1 off the source's short and 1 off
     # the target's over, leaving 1 + 0, and -- takes 2 off the source's
     # short only, leaving 0 + 1, the same sum but later
-    layouts = [(None, [], [("e0", 0, 1)])]
-    expected = ([1, 0], None, (), (("e0", "-+"),))
+    layouts = [([], [("e0", 0, 1)])]
+    expected = ([1, 0], (), (("e0", "-+"),))
     assert brute_force(layouts, [2, -2], [-3, 1]) == expected
     assert _search(layouts, [2, -2], [-3, 1]) == expected
 
@@ -193,31 +194,36 @@ def test_search_matches_brute_force_with_two_six_valued_edges():
 
 def test_search_matches_brute_force_on_random_larger_shapes():
     instances = list(random_instances(600, seed=10))
-    assert any(len(layouts) == 2 and layouts[0][1:] == layouts[1][1:] for layouts, _, _ in instances)
+    assert any(len(layouts) == 2 and layouts[0] == layouts[1] for layouts, _, _ in instances)
     assert any(s > 0 and o > 0 for _, short, over in instances for s, o in zip(short, over))
     assert not _mismatches(instances)
 
 
 def test_later_layouts_that_only_tie_keep_the_first_tree():
+    # a layout is known by its split of the H-links alone, so the tied
+    # layouts split two parallel edges 0 -> 1 differently, each edge signed
+    # in one of them; the two are mirror images, so they tie
+    e0, e1 = _links([(0, 1), (0, 1)])
+    swapped = [([e0], [e1]), ([e1], [e0])]
     cases = [
-        # two layouts without H-edges: the second has no node for the cut to
-        # test, so only the leaf's strict < keeps the first tree
-        ([(("t1",), [], []), (("t2",), [], [])], [1, -3], [-3, -3]),
-        # "-" leaves 1 + 1 on the first layout, the second layout's root
-        # bound, which the second layout also reaches
-        ([(("t1",), _links([(0, 1)]), []), (("t2",), _links([(0, 1)]), [])], [2, 2], [-5, -5]),
-        # the first layout reaches 0 at its second leaf, and a later layout
-        # with the same edges reaches 0 as well; one without H-edges pays 2
-        ([(("t1",), _links([(0, 1)]), []), (("t2",), _links([(0, 1)]), []), (("t3",), [], [])],
-         [1, 1], [-3, -3]),
-        # the first layout reaches 0 at its first leaf, a later one without
-        # H-edges reaches 0 too
-        ([(("t1",), _links([(0, 1)]), []), (("t2",), [], [])], [0, 0], [-1, -1]),
+        # the first layout's least sum, 2, is the second layout's root bound
+        (swapped, [-1, -1], [-1, 5]),
+        # the second layout's root bound is 1, so its tie with the first
+        # layout's least sum, 2, is met below its root; a third layout
+        # without H-edges pays 7
+        (swapped + [([], [])], [-1, -1], [3, 4]),
+        # the first layout reaches 0 at its first leaf, and a later one
+        # without H-edges reaches 0 at its root: that root is its leaf,
+        # which the cut never sees, so only the leaf's strict < keeps the
+        # first layout
+        ([([e0], []), ([], [])], [0, 0], [-1, -1]),
+        # the same tie after two tied layouts with H-edges
+        (swapped + [([], [])], [0, 0], [-1, -1]),
     ]
     for layouts, short, over in cases:
         result = _search(layouts, short, over)
         assert result == brute_force(layouts, short, over)
-        assert result[1] == ("t1",)
+        assert [[eid for eid, _ in part] for part in result[1:]] == [[eid for eid, _, _ in part] for part in layouts[0]]
 
 
 def _components(n, links):
@@ -258,12 +264,12 @@ def test_searching_each_h_component_alone_gives_the_same_labeling():
     # search on its own vertices, the penalties put back in place, the signs
     # merged in edge order
     for n, links, short, over in split_forest_instances(400, seed=3):
-        pens, _, psi, _ = _search([(("t",), links, [])], short, over)
+        pens, psi, _ = _search([(links, [])], short, over)
         split_pens, split_psi = [max(0, s) + max(0, o) for s, o in zip(short, over)], []
         for group in _components(n, links):
             index = {x: i for i, x in enumerate(group)}
             own = [(eid, index[u], index[v]) for eid, u, v in links if u in index]
-            part, _, part_psi, _ = _search([(("t",), own, [])], [short[x] for x in group], [over[x] for x in group])
+            part, part_psi, _ = _search([(own, [])], [short[x] for x in group], [over[x] for x in group])
             for x, pen in zip(group, part):
                 split_pens[x] = pen
             split_psi += part_psi

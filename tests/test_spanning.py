@@ -146,11 +146,13 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
         classes = _optimal_trees_by_h_basis(g)
         h_links, *_, completion, capital = _split(g)
         layouts = optimal_trees(len(g.vertices), h_links, capital, completion)
-        assert tuple(tree for tree, _, _ in layouts) == tuple(trees[0] for trees in classes.values())
+        # a layout holds no tree: its tree is its basis, the signed H-edges, plus the completion
+        layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + completion)) for signed, _ in layouts]
+        assert tuple(layout_trees) == tuple(trees[0] for trees in classes.values())
         # each layout splits the H-edges, as (id, u, v) links in id order, by its tree
         index = {vid: i for i, vid in enumerate(g.vertices)}
         h_edges = [(e.id, index[e.src], index[e.dst]) for e in g.edges if is_plus_minus_h(e.matrix)]
-        for tree, signed, outside in layouts:
+        for tree, (signed, outside) in zip(layout_trees, layouts):
             assert list(signed) == [link for link in h_edges if link[0] in tree]
             assert list(outside) == [link for link in h_edges if link[0] not in tree]
         # the premise of the one search budget: the assignment count bounds the layouts
@@ -191,6 +193,27 @@ def test_tree_enumeration_memory_does_not_grow_with_depth():
         tracemalloc.stop()
     assert len(trees) == 500
     assert peak - kept < 2**20
+
+
+def test_layout_memory_does_not_grow_with_the_non_h_part():
+    # a layout holds only H-links: two parallel H-edges beside a cycle of n
+    # pieces give two layouts, one H-edge signed and one outside, at any n
+    kept, results = [], []
+    for n in (1000, 4000):
+        g = _cycle(n, extra=("h1", "h2"))
+        h_links, *_, completion, capital = _split(g)
+        # a first, untraced call keeps any one-time interpreter allocation out of the count
+        optimal_trees(n, h_links, capital, completion)
+        tracemalloc.start()
+        try:
+            layouts = optimal_trees(n, h_links, capital, completion)
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        results.append(layouts)
+    assert kept[0] == kept[1] < 1024
+    for layouts in results:
+        assert [[[eid for eid, _, _ in part] for part in layout] for layout in layouts] == [[["h1"], ["h2"]], [["h2"], ["h1"]]]
 
 
 def test_union_find_stays_flat_on_a_star():
