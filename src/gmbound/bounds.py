@@ -10,7 +10,8 @@ six-valued ones.  Every layout comes from optimal_trees: one per distinct
 set T & H of H-edges inside an optimal spanning tree T, standing for the
 first such tree, since the penalties depend on T only through T & H.  A
 disconnected or empty graph has no spanning tree, so every evaluator
-refuses it.  The three theorems are three labels over the search:
+refuses it: graph._split gives it no completion, and _bound raises before
+the scan.  The three theorems are three labels over the search:
 
   bound_regular   no H-edges: the one layout optimal_trees gives, with
                   nothing to label;
@@ -30,11 +31,12 @@ The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
 graph into that instance, from one graph._split, the pass that classifies
-each edge as H or not once and grows the H-forest, for Phi, and its one
-completion, and from the layouts that optimal_trees builds from that
-split's H-links, Phi and completion, each an H-basis and the H-edges
-outside it, so a bound classifies each edge once and grows each forest
-once; and tests can pin the search on instances built directly.
+each edge as H or not once, grows the H-forest, for Phi, and its one
+completion, and decides connectivity, and from the layouts that
+optimal_trees builds from that split's H-links and Phi, each an H-basis
+and the H-edges outside it, so a bound classifies each edge once and
+grows each forest once; and tests can pin the search on instances built
+directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -50,13 +52,13 @@ a strictly smaller sum replaces the one found, so the result is the first
 minimizer of the exhaustive search, witnesses included.
 
 The assignment cap is the search's one budget.  It counts the labelings of
-a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before any
-tree is enumerated.  It bounds the tree scan as well, which runs in every
-mode: the layouts are the bases of the H-subgraph's graphic matroid, found
-by checking the comb(|H|, Phi) subsets of H of its rank (one subset, all
-of H, when Phi = 0), and comb(|H|, Phi) <= 2^|H| is no more than that
-count.  So the budget bounds the scan's work, not only the layouts it
-finds, before anything is enumerated.
+a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before the
+scan.  It bounds the tree scan as well, which runs in every mode: the
+layouts are the bases of the H-subgraph's graphic matroid, found by
+checking the comb(|H|, Phi) subsets of H of its rank (one subset, all of
+H, when Phi = 0), and comb(|H|, Phi) <= 2^|H| is no more than that count.
+So the budget bounds the scan's work, not only the layouts it finds,
+before the scan starts.
 
 A window must satisfy m < M, m <= 1, M >= -1, where the paper defines f
 (oracle.f rejects any other window); labels only widen it, so each vertex
@@ -130,9 +132,10 @@ class CapExceeded(RuntimeError):
     """A search would visit more objects than its cap allows.
 
     The bounds have one budget, the assignment cap, which _bound checks
-    against a count known before any search; that count also bounds the
-    tree scan, which has no cap of its own.  The oracles' exhaustive
-    searches have caps of their own.  needed is the count, when known.
+    against a count known from graph._split alone, before the scan; that
+    count also bounds the tree scan, which has no cap of its own.  The
+    oracles' exhaustive searches have caps of their own.  needed is the
+    count, when known.
     """
 
     def __init__(self, message: str, needed: int | None = None):
@@ -295,6 +298,11 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     """The evaluator behind all three theorems; None picks the most
     specific one that applies, any other label is checked to apply.
 
+    The checks come in a fixed order: the theorem label, the assignment
+    cap, then connectivity (graph._split gives no completion for a
+    disconnected or empty graph, refused with a ValueError), all before
+    the scan and the per-vertex window check.
+
     The only place a tree is built: in general mode, the witness tree is
     psi's H-edges, the winning basis, plus the completion that every basis
     shares, sorted.  Regular and tree mode report None and build none."""
@@ -308,16 +316,17 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
 
     # every optimal tree leaves Phi(G) H-edges outside, so the count does not
-    # depend on the tree and is checked before any tree is enumerated
+    # depend on the tree and is checked before the scan
     count = 2 ** (len(h_links) - phi_value) * 6 ** phi_value
     if theorem != "regular" and count > assignment_cap:
         raise CapExceeded(
             f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
             needed=count)
+    if completion is None:
+        raise ValueError("graph has no spanning tree (disconnected)")
     # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
-    # subsets, so the check above is its only budget; it also refuses a
-    # disconnected or empty graph, before its scan and any window check
-    layouts = optimal_trees(len(g.vertices), h_links, phi_value, completion)
+    # subsets, so the check above is its only budget
+    layouts = optimal_trees(len(g.vertices), h_links, phi_value)
 
     short, over, fixed = [], [], []
     for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), plus, minus, zero):

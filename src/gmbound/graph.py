@@ -12,8 +12,10 @@ referred to as H-edges throughout; _split tells them from the other edges
 in one pass, splits vertex degrees accordingly and grows one union-find:
 a greedy forest over the H-edges, whose leftovers are Phi, and then its
 completion over every edge, the non-H edges that join what the H-forest
-leaves apart.  validate, degree_stats, spanning and bounds all read
-H-ness, degrees, Phi and the completion from it.
+leaves apart.  It is the one place that decides connectivity: it gives no
+completion (None) when the graph is disconnected or empty.  validate,
+degree_stats and bounds read H-ness, degrees, Phi and the completion from
+it, and the tree scan in spanning takes its H-edges and Phi.
 
 Each check runs in one place:
 
@@ -29,11 +31,9 @@ Each check runs in one place:
                    normalize checks the first two on its input only, as its
                    output is normalized by construction, and normalize_all
                    puts the edge id in front of its errors;
-  validate         admissibility: at least one edge, connected (read off
-                   the one union-find _split grows, whose H-forest and
-                   completion together span the graph exactly when they
-                   hold n - 1 edges), every edge label
-                   normalized (one is_normalized call each, whose error
+  validate         admissibility: at least one edge, connected (_split
+                   gives a completion), every edge label normalized (one
+                   is_normalized call each, whose error
                    becomes the violation), well-formed fibres, class S for
                    the vertex degree, and the small-graph exclusions (i)
                    and (ii)(a)-(c); degrees and H-edges come from one
@@ -160,9 +160,12 @@ def _split(g: DecompositionGraph):
     over every link in id order: its union-find already joins each
     H-component, so it takes no H-link, and completion is the ids of the
     non-H links it adds, in id order.  The H-forest and completion hold
-    n - 1 edges exactly when the graph is connected.  A bound makes one
-    call and hands h_links, phi and completion on to
-    spanning.optimal_trees, which makes none.
+    n - 1 edges exactly when the graph is connected; otherwise, and for a
+    graph with no vertices, completion is None.  This is the one
+    connectivity test: validate reports a violation and bounds._bound
+    refuses the graph on None.  A bound makes one call and hands h_links
+    and phi on to spanning.optimal_trees, which makes none and never reads
+    the completion.
     """
     n = len(g.vertices)
     links = _links(g)
@@ -180,7 +183,10 @@ def _split(g: DecompositionGraph):
             minus[v] += 1
     parent = list(range(n))
     phi = len(h_links) - len(_grow(parent, h_links))
-    return h_links, rest, plus, minus, zero, _grow(parent, links), phi
+    completion = _grow(parent, links)
+    # a spanning forest of n vertices is one tree exactly when it holds n - 1
+    # edges, which no forest does on no vertices
+    return h_links, rest, plus, minus, zero, completion if len(h_links) - phi + len(completion) == n - 1 else None, phi
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -244,10 +250,8 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     if not g.edges:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
-    h_links, _, plus, minus, zero, completion, phi = _split(g)
-    # a spanning forest of n vertices has n - 1 edges exactly when it is one
-    # tree, and _split's H-forest and completion are one spanning forest
-    if len(h_links) - phi + len(completion) != len(g.vertices) - 1:
+    h_links, _, plus, minus, zero, completion, _ = _split(g)
+    if completion is None:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:
@@ -267,9 +271,9 @@ def validate(g: DecompositionGraph) -> list[Violation]:
             out.append(Violation("class-S", vid, msg))
 
     # exclusion (i): an H-edge may not touch a degree-1 piece (0,1,(2,1),(2,1),-1);
-    # its ends are visited source first, and a loop's vertex once
+    # its ends are visited source first
     for eid, u, v in h_links:
-        for i in (u,) if u == v else (u, v):
+        for i in (u, v):
             vid, s = pieces[i]
             if _is_two_half_fibred_disk(s) and s.b == -1 and plus[i] + minus[i] + zero[i] == 1:
                 out.append(Violation(

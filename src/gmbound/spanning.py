@@ -21,12 +21,16 @@ O(|V| + |H|) however deep the graph.
 Every forest is grown by the union-find of graph (_grow).  graph._split,
 the one pass that tells H-edges apart, grows it once per graph: the greedy
 H-forest, for Phi, and then its completion over every edge, which is the
-same for every basis and which validate reads for connectivity.
-optimal_trees takes the H-links, Phi and completion of its caller's split
-and makes none of its own, so a bound classifies each edge once and
-completes no tree; it reads the completion only to refuse a disconnected
-graph.  capital_phi reads _split, and is_spanning_tree filters _links.
-This module keeps only the bound's forest questions.
+same for every basis.  _split is also the one place that decides
+connectivity: it gives no completion for a disconnected graph, and its
+callers refuse one.  optimal_trees takes the vertex count and the H-links
+and Phi of its caller's split, and nothing else: it is the basis scan
+alone, it makes no split, completes no tree and refuses nothing, so a
+bound classifies each edge once.  The bases depend only on the H-edges,
+so the scan runs as well on the H-links of one H-component, re-indexed
+over that component's vertices, with that component's Phi.  capital_phi
+reads _split, and is_spanning_tree filters _links.  This module keeps
+only the bound's forest questions.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -63,16 +67,17 @@ def capital_phi(g: DecompositionGraph) -> int:
     return _split(g)[-1]
 
 
-def optimal_trees(n: int, h_links, phi: int, completion):
+def optimal_trees(n: int, h_links, phi: int):
     """One layout (signed, outside) per distinct set of tree H-edges of the
     spanning trees attaining Phi, in tree order.
 
-    n is the number of vertices, and h_links, phi and completion are what
-    graph._split returns for the graph: the H-edges as (id, u, v) links in
-    id order, Phi(G), and the ids of the non-H edges that complete its
-    greedy H-forest to a spanning tree.  signed is a basis B, a tuple of
-    H-links, and outside the other H-links, both in h_links order, as
-    bounds._search reads them.  No tree is built.
+    n is the number of vertices, and h_links and phi are what graph._split
+    returns for the graph: the H-edges as (id, u, v) links in id order, and
+    Phi(G), which is len(h_links) less the rank of the H-edges.  signed is
+    a basis B, a tuple of H-links, and outside the other H-links, both in
+    h_links order, as bounds._search reads them.  No tree is built, and
+    nothing here reads the rest of the graph: whether it is connected is
+    decided by graph._split, and refused by its callers, before the scan.
 
     The tree H-edges of an optimal tree are a basis B of the H-subgraph's
     graphic matroid, and every basis occurs.  Every basis joins the same
@@ -82,8 +87,7 @@ def optimal_trees(n: int, h_links, phi: int, completion):
     every other H-edge closes a cycle, because B is maximal.  So each
     layout stands for the first tree of a class of optimal trees sharing
     their H-edges, and a caller that needs that tree sorts B's ids with
-    completion.  A graph whose H-forest and completion hold fewer than
-    n - 1 edges is disconnected, and is refused before the scan starts.
+    the completion _split gave it.
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of
@@ -97,8 +101,6 @@ def optimal_trees(n: int, h_links, phi: int, completion):
     h_links yields the bases in that order.
     """
     rank = len(h_links) - phi
-    if rank + len(completion) != n - 1:
-        raise ValueError("graph has no spanning tree (disconnected)")
     layouts = []
     for basis in itertools.combinations(h_links, rank):
         if len(_grow(list(range(n)), basis)) < rank:

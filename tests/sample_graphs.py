@@ -82,10 +82,13 @@ def phi(g: DecompositionGraph, tree: tuple[str, ...]) -> int:
 
 def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     """The trees of spanning.optimal_trees for g, from one graph._split, as
-    the bounds call it: each layout's signed H-edges plus the completion."""
+    the bounds call it: each layout's signed H-edges plus the completion.
+    A graph the split gives no completion is refused as the bounds refuse it."""
     h_links, *_, completion, capital = _split(g)
+    if completion is None:
+        raise ValueError("graph has no spanning tree (disconnected)")
     return tuple([tuple(sorted([eid for eid, _, _ in signed] + completion))
-                  for signed, _ in optimal_trees(len(g.vertices), h_links, capital, completion)])
+                  for signed, _ in optimal_trees(len(g.vertices), h_links, capital)])
 
 
 # ---------------------------------------------------------------------------

@@ -308,9 +308,9 @@ def test_assignment_cap_is_checked_before_any_tree(monkeypatch):
 def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
     # the tree scan checks comb(|H|, Phi) <= 2^|H| <= 2^(|H|-Phi) * 6^Phi
     # subsets, so the assignment cap checked before it is its only limit;
-    # each bound calls it once, with the H-links, Phi and completion of its
-    # own split
-    assert list(inspect.signature(optimal_trees).parameters) == ["n", "h_links", "phi", "completion"]
+    # each bound calls it once, with the H-links and Phi of its own split,
+    # and the scan takes nothing else
+    assert list(inspect.signature(optimal_trees).parameters) == ["n", "h_links", "phi"]
     splits, seen = [], []
 
     def splitting(g):
@@ -327,9 +327,9 @@ def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
     for cap in (12, 10**7):
         assert best_bound(g, assignment_cap=cap).total == 12
     assert len(splits) == len(seen) == 2
-    for (h_links, *_, completion, capital), (args, kwargs) in zip(splits, seen):
-        assert kwargs == {} and len(args) == 4
-        assert args[0] == len(g.vertices) and args[1] is h_links and args[2] == capital == 1 and args[3] is completion
+    for (h_links, *_, capital), (args, kwargs) in zip(splits, seen):
+        assert kwargs == {} and len(args) == 3
+        assert args[0] == len(g.vertices) and args[1] is h_links and args[2] == capital == 1
 
 
 def test_the_cap_is_keyword_only():

@@ -131,13 +131,16 @@ def test_the_split_agrees_with_the_raw_edge_list():
         index = {vid: i for i, vid in enumerate(g.vertices)}
         h_links, rest, *_, completion, phi = graph._split(g)
         assert phi == capital_phi(g)
-        # the completion: non-H ids only, in id order, and with the H-forest
-        # one spanning forest, a tree exactly when the graph is connected
-        done = set(completion)
-        assert completion == [e.id for e, h in zip(g.edges, is_h) if e.id in done and not h]
+        # the split is the one connectivity test: it gives a completion
+        # exactly when the graph is connected, and that completion holds
+        # non-H ids only, in id order, and with the H-forest is one
+        # spanning tree
         connected = _spans(list(g.vertices), g.edges)
-        assert (len(h_links) - phi + len(completion) == len(g.vertices) - 1) == connected, graph_to_json(g)
+        assert (completion is not None) == connected, graph_to_json(g)
         if connected:
+            done = set(completion)
+            assert completion == [e.id for e, h in zip(g.edges, is_h) if e.id in done and not h]
+            assert len(h_links) - phi + len(completion) == len(g.vertices) - 1
             assert phi == bruteforce_phi(g), graph_to_json(g)
             # the first tree of each class of optimal trees sharing their
             # H-edges is those H-edges plus the completion

@@ -27,6 +27,7 @@ import itertools
 import random
 
 from gmbound.bounds import _search
+from gmbound.spanning import optimal_trees
 
 # (source d+, source d-, target d+, target d-) of each label, in enumeration
 # order, as the bound_tree and bound_general docstrings state them: a sign
@@ -227,20 +228,21 @@ def test_later_layouts_that_only_tie_keep_the_first_tree():
 
 
 def _components(n, links):
-    """The vertex lists of the components of a forest's links that hold an
-    edge, by the test's own union-find."""
+    """The vertex lists of the components of the links that hold an edge
+    end, an H-loop's vertex included, by the test's own union-find."""
     parent = list(range(n))
     for _, u, v in links:
         parent[_root(parent, u)] = _root(parent, v)
     groups = {}
     for x in range(n):
         groups.setdefault(_root(parent, x), []).append(x)
-    return [group for group in groups.values() if len(group) > 1]
+    ends = {x for _, u, v in links for x in (u, v)}
+    return [group for group in groups.values() if ends.intersection(group)]
 
 
 def split_forest_instances(count, seed):
     """Signed forests on at most 9 vertices with two or more components that
-    hold an edge, one layout each, short and over drawn from [-4, 4]."""
+    hold an edge, short and over drawn from [-4, 4]."""
     rng = random.Random(seed)
     while count:
         n = rng.randint(4, 9)
@@ -258,20 +260,70 @@ def split_forest_instances(count, seed):
         yield n, links, [rng.randint(-4, 4) for _ in range(n)], [rng.randint(-4, 4) for _ in range(n)]
 
 
+def split_general_instances(count, seed):
+    """Two or three H-components on at most 13 vertices, one of them with
+    Phi >= 1 at least: each is a random tree on one to four vertices plus
+    at most one more edge, which closes a cycle, a parallel pair or an
+    H-loop (always a loop on a lone vertex).  The vertices are shuffled, a
+    spare vertex may stay bare, and the edges are shuffled before they get
+    their ids, so the ids of the components interleave.  short and over are
+    drawn from [-4, 4]."""
+    rng = random.Random(seed)
+    while count:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+        n = sum(sizes) + rng.randint(0, 1)
+        order = rng.sample(range(n), n)
+        pairs, start, owner = [], 0, []
+        for size in sizes:
+            group = order[start:start + size]
+            start += size
+            own = [(group[rng.randrange(i)], group[i]) for i in range(1, size)]
+            own += [(rng.choice(group), rng.choice(group)) for _ in range(rng.randint(size == 1, 1))]
+            pairs += [(u, v) if rng.random() < 0.5 else (v, u) for u, v in own]
+            owner += [group[0]] * len(own)
+        if not len(pairs) - sum(size - 1 for size in sizes):
+            continue
+        shuffled = rng.sample(range(len(pairs)), len(pairs))
+        # ids in blocks by component change owner len(sizes) - 1 times
+        if sum(owner[i] != owner[j] for i, j in zip(shuffled, shuffled[1:])) < len(sizes):
+            continue
+        count -= 1
+        links = _links([pairs[i] for i in shuffled])
+        yield n, links, [rng.randint(-4, 4) for _ in range(n)], [rng.randint(-4, 4) for _ in range(n)]
+
+
+def _phi(links, groups):
+    """The links a spanning forest of links leaves out, given the vertex
+    lists of their components."""
+    return len(links) - sum(len(group) - 1 for group in groups)
+
+
 def test_searching_each_h_component_alone_gives_the_same_labeling():
-    # a vertex's penalty depends only on the labels of its own edges, so the
-    # components of a signed forest can be searched one at a time: each
-    # search on its own vertices, the penalties put back in place, the signs
-    # merged in edge order
-    for n, links, short, over in split_forest_instances(400, seed=3):
-        pens, psi, _ = _search([(links, [])], short, over)
-        split_pens, split_psi = [max(0, s) + max(0, o) for s, o in zip(short, over)], []
-        for group in _components(n, links):
+    # a vertex's penalty depends only on the labels of its own edges, and
+    # the components share no vertex, so the least-sum labelings form a
+    # product over the H-components, each component with its own layouts.
+    # The first of them factorizes too: two layouts compare by the least id
+    # of their symmetric difference, which lies in one component, and psi
+    # and psi' compare position by position in id order.  So each component
+    # can be searched alone, on its own vertices and its own layouts, the
+    # penalties put back in place and psi and psi' merged in id order
+    general = list(split_general_instances(1000, seed=4))
+    assert all(2 <= len(_components(n, links)) <= 3 for n, links, _, _ in general)
+    assert all(_phi(links, _components(n, links)) for n, links, _, _ in general)
+    assert any(u == v for _, links, _, _ in general for _, u, v in links)
+    for n, links, short, over in list(split_forest_instances(400, seed=3)) + general:
+        groups = _components(n, links)
+        pens, psi, psi_prime = _search(optimal_trees(n, links, _phi(links, groups)), short, over)
+        split_pens, split_psi, split_psi_prime = [max(0, s) + max(0, o) for s, o in zip(short, over)], [], []
+        for group in groups:
             index = {x: i for i, x in enumerate(group)}
             own = [(eid, index[u], index[v]) for eid, u, v in links if u in index]
-            part, part_psi, _ = _search([(own, [])], [short[x] for x in group], [over[x] for x in group])
+            part, part_psi, part_psi_prime = _search(
+                optimal_trees(len(group), own, _phi(own, [group])), [short[x] for x in group], [over[x] for x in group])
             for x, pen in zip(group, part):
                 split_pens[x] = pen
             split_psi += part_psi
+            split_psi_prime += part_psi_prime
         order = [eid for eid, _, _ in links]
-        assert (pens, psi) == (split_pens, tuple(sorted(split_psi, key=lambda p: order.index(p[0]))))
+        merged = [tuple(sorted(part, key=lambda p: order.index(p[0]))) for part in (split_psi, split_psi_prime)]
+        assert (pens, psi, psi_prime) == (split_pens, *merged)

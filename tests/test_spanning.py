@@ -73,12 +73,18 @@ def test_optimal_trees_keep_all_minimisers():
 
 
 def test_optimal_trees_refuse_a_disconnected_graph():
+    # connectivity is decided by graph._split alone: it gives no completion,
+    # and the bound refuses the graph; the scan itself refuses nothing
     g = build_graph(
         {"v1": _DISK, "v2": _DISK, "v3": _DISK},
         [Edge("e1", "v1", "v2", H), Edge("e2", "v3", "v3", _M)],
     )
-    with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
-        optimal_tree_ids(g)
+    h_links, *_, completion, capital = _split(g)
+    assert completion is None and capital == 0
+    assert [signed for signed, _ in optimal_trees(len(g.vertices), h_links, capital)] == [tuple(h_links)]
+    for refuse in (best_bound, optimal_tree_ids):
+        with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
+            refuse(g)
 
 
 def test_a_disconnected_graph_is_refused_before_the_scan(monkeypatch):
@@ -145,7 +151,7 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     for g in graphs:
         classes = _optimal_trees_by_h_basis(g)
         h_links, *_, completion, capital = _split(g)
-        layouts = optimal_trees(len(g.vertices), h_links, capital, completion)
+        layouts = optimal_trees(len(g.vertices), h_links, capital)
         # a layout holds no tree: its tree is its basis, the signed H-edges, plus the completion
         layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + completion)) for signed, _ in layouts]
         assert tuple(layout_trees) == tuple(trees[0] for trees in classes.values())
@@ -184,10 +190,10 @@ def test_tree_enumeration_memory_does_not_grow_with_depth():
     # an H-cycle has one optimal tree per H-edge left out; beyond the layouts
     # it returns, the scan holds one union-find and one subset at a time
     g = _cycle(500, matrix=H)
-    h_links, *_, completion, capital = _split(g)
+    h_links, *_, capital = _split(g)
     tracemalloc.start()
     try:
-        trees = optimal_trees(len(g.vertices), h_links, capital, completion)
+        trees = optimal_trees(len(g.vertices), h_links, capital)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -201,12 +207,12 @@ def test_layout_memory_does_not_grow_with_the_non_h_part():
     kept, results = [], []
     for n in (1000, 4000):
         g = _cycle(n, extra=("h1", "h2"))
-        h_links, *_, completion, capital = _split(g)
+        h_links, *_, capital = _split(g)
         # a first, untraced call keeps any one-time interpreter allocation out of the count
-        optimal_trees(n, h_links, capital, completion)
+        optimal_trees(n, h_links, capital)
         tracemalloc.start()
         try:
-            layouts = optimal_trees(n, h_links, capital, completion)
+            layouts = optimal_trees(n, h_links, capital)
             kept.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
