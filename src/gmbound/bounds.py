@@ -42,14 +42,20 @@ The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
 then signs with + before -, then six values in the order ++, +, +-, -+, -,
 --, the last edge varying fastest), so reports are byte-reproducible.  It walks
-that order depth first, one H-edge per level, keeping the penalty sum up
-to date as labels are set and undone.  At every node it holds a lower
+that order depth first, one H-edge per level.  Each node holds a lower
 bound on all the labelings below it: each vertex's shortfall from its
 window, less the most that the edges still unlabeled could take off it.
-A node whose bound is >= the least sum found so far is cut, and nothing
-else stops the search.  Everything it cuts is at least that sum, and only
-a strictly smaller sum replaces the one found, so the result is the first
-minimizer of the exhaustive search, witnesses included.
+A node is a generator over its edge's labels that yields each child's
+bound, setting the label as it yields and undoing it when done.  A node
+lives only while its bound is below the least sum found so far: it is
+created only below it, the root included, and stops once a leaf beneath
+it lowers the sum to its bound.  Nothing else stops the search.
+Everything it cuts is at least that sum, so every leaf it reaches is
+strictly smaller, and the result is the first minimizer of the
+exhaustive search, witnesses included.  The live nodes sit in a list,
+not on the call stack: a layout is as deep as it has H-edges, which a
+raised cap leaves unbounded, so recursion could exceed the interpreter's
+limit.
 
 The assignment cap is the search's one budget.  It counts the labelings of
 a layout's uncut search, 2^(|H| - Phi) * 6^Phi, and is checked before the
@@ -222,24 +228,48 @@ def _search(layouts, short, over):
     penalties, psi, psi'), psi and psi' as (id, label) pairs; psi names the
     winning layout's signed edges, so the search carries no tree.
 
-    Each layout is searched depth first without recursion, one edge per
-    depth: steps[d] is that edge as (id, u, v, label rows), picks[d] the
-    next label to try there, sums[d] the bound at the node there and
-    frames[d] its edge's ends before the label.  lack and want hold short
-    and over less the most that the edges not yet labeled could still take
-    off them, so the sum of their positive parts is a lower bound for
-    every labeling below the node, and the penalty sum itself at a leaf.
-    A label moves only its edge's ends, so the bound changes by theirs
-    alone.  A node whose bound is >= the least sum so far
-    is cut, and the cut is the search's only stopping rule: it ends a
-    layout that cannot win at its root, and after a sum of 0 it cuts every
-    node.  A leaf replaces the best only with a strictly smaller sum, and
-    builds the answer there, from lack, want and the labels picks[d] - 1;
-    a layout without H-edges has its root as its leaf, which the cut never
-    sees, so an equal sum there must not replace the first.
+    Each layout is searched depth first, one edge per depth.  lack and want
+    hold short and over less the most that the edges not yet labeled could
+    still take off them, so the sum of their positive parts is a lower
+    bound for every labeling below a node, and the penalty sum itself at a
+    leaf.  A label moves only its edge's ends, so the bound changes by
+    theirs alone.  A node is a generator over its edge's labels: for each
+    child whose bound is below the least sum so far it sets that label on
+    the two ends and yields the bound, it stops once its own bound is no
+    longer below, and when it is done it puts the ends back.  A loop
+    drives the live nodes, kept in a list as deep as the layout has
+    H-edges, so a raised cap never meets the recursion limit: it advances
+    the deepest node, drops it once exhausted, and adds a node below it for
+    each bound it yields, or records a leaf at full depth.
+
+    A node is created only below least, the root included, so a layout
+    that cannot win is never entered, and after a sum of 0 nothing is.
+    Everything cut is at least least, so a leaf always lowers it strictly,
+    and the first minimizer of the exhaustive search is kept, witnesses
+    included.  A leaf keeps copies of lack, want and the labels; the
+    penalties and psi and psi' are built once, from the last leaf.
     """
     n = len(short)
-    best, least = None, float("inf")
+    least = float("inf")
+
+    def node(depth, total):
+        _, u, v, rows = steps[depth]
+        lu, wu, lv, wv = lack[u], want[u], lack[v], want[v]
+        rest = total - ((lu if lu > 0 else 0) + (wu if wu > 0 else 0) + (lv if lv > 0 else 0) + (wv if wv > 0 else 0))
+        for label, a, b, c, d in rows:
+            a += lu
+            b += wu
+            c += lv
+            d += wv
+            bound = rest + (a if a > 0 else 0) + (b if b > 0 else 0) + (c if c > 0 else 0) + (d if d > 0 else 0)
+            if bound < least:
+                lack[u], want[u], lack[v], want[v] = a, b, c, d
+                labels[depth] = label
+                yield bound
+                if total >= least:
+                    break
+        lack[u], want[u], lack[v], want[v] = lu, wu, lv, wv
+
     for signed, outside in layouts:
         # slot n stands in for the second end of a loop
         lack, want, steps = short + [0], over + [0], []
@@ -254,44 +284,20 @@ def _search(layouts, short, over):
                 want[v] -= vw
                 steps.append((eid, u, v, rows))
         bound = sum([(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)])
-        picks, frames, sums = [0] * len(steps), [None] * len(steps), [bound] * (len(steps) + 1)
-        depth = 0
-        while depth >= 0:
-            if depth == len(steps):
-                # a layout without H-edges reaches its leaf without passing the cut
-                if sums[depth] < least:
-                    least = sums[depth]
-                    pens = [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack[:n], want)]
-                    witness = tuple([(eid, rows[p - 1][0]) for (eid, _, _, rows), p in zip(steps, picks)])
-                    best = pens, witness[:len(signed)], witness[len(signed):]
-                depth -= 1
-                continue
-            _, u, v, rows = steps[depth]
-            j = picks[depth]
-            if j == 0:
-                lu, wu, lv, wv = lack[u], want[u], lack[v], want[v]
-                rest = sums[depth] - ((lu if lu > 0 else 0) + (wu if wu > 0 else 0)
-                                      + (lv if lv > 0 else 0) + (wv if wv > 0 else 0))
-                frames[depth] = lu, wu, lv, wv, rest
+        labels = [None] * len(steps)
+        # the root yields its own bound, as a node yields a child's
+        nodes = [iter((bound,))] if bound < least else []
+        while nodes:
+            total = next(nodes[-1], None)
+            if total is None:
+                nodes.pop()
+            elif len(nodes) <= len(steps):
+                nodes.append(node(len(nodes) - 1, total))
             else:
-                lu, wu, lv, wv, rest = frames[depth]
-            if j == len(rows) or sums[depth] >= least:
-                lack[u], want[u], lack[v], want[v] = lu, wu, lv, wv
-                picks[depth] = 0
-                depth -= 1
-                continue
-            picks[depth] = j + 1
-            _, a, b, c, d = rows[j]
-            a += lu
-            b += wu
-            c += lv
-            d += wv
-            bound = rest + (a if a > 0 else 0) + (b if b > 0 else 0) + (c if c > 0 else 0) + (d if d > 0 else 0)
-            if bound < least:
-                lack[u], want[u], lack[v], want[v] = a, b, c, d
-                depth += 1
-                sums[depth] = bound
-    return best
+                least, kept = total, (lack[:n], want[:n], labels[:], steps, len(signed))
+    lack, want, labels, steps, cut = kept
+    witness = tuple([(eid, label) for (eid, _, _, _), label in zip(steps, labels)])
+    return [(a if a > 0 else 0) + (b if b > 0 else 0) for a, b in zip(lack, want)], witness[:cut], witness[cut:]
 
 
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:

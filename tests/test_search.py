@@ -19,15 +19,24 @@ every listed shape.  So it is complete over windows for those shapes, not
 over shapes.  In a valid graph, short and over can both be positive only
 at a vertex with three or more H-edge ends; the random draws at the end
 cover such windows.
+
+The last tests bound whole graphs of three families, where the search is
+deep or slow: the bytes of their reports are pinned, and an H-path of 1500
+edges, as deep as the search goes, must be bounded without recursion.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
-from gmbound.bounds import _search
+from gmbound.bounds import _search, best_bound
+from gmbound.gl2 import H, Gl2Matrix
+from gmbound.graph import Edge, SeifertData, build_graph, is_valid
 from gmbound.spanning import optimal_trees
+from test_bounds import _replay
 
 # (source d+, source d-, target d+, target d-) of each label, in enumeration
 # order, as the bound_tree and bound_general docstrings state them: a sign
@@ -214,9 +223,8 @@ def test_later_layouts_that_only_tie_keep_the_first_tree():
         # without H-edges pays 7
         (swapped + [([], [])], [-1, -1], [3, 4]),
         # the first layout reaches 0 at its first leaf, and a later one
-        # without H-edges reaches 0 at its root: that root is its leaf,
-        # which the cut never sees, so only the leaf's strict < keeps the
-        # first layout
+        # without H-edges reaches 0 at its root: that root is its leaf, so
+        # only the strict < that a root must pass keeps the first layout
         ([([e0], []), ([], [])], [0, 0], [-1, -1]),
         # the same tie after two tied layouts with H-edges
         (swapped + [([], [])], [0, 0], [-1, -1]),
@@ -327,3 +335,73 @@ def test_searching_each_h_component_alone_gives_the_same_labeling():
         order = [eid for eid, _, _ in links]
         merged = [tuple(sorted(part, key=lambda p: order.index(p[0]))) for part in (split_psi, split_psi_prime)]
         assert (pens, psi, psi_prime) == (split_pens, *merged)
+
+
+# the families below join pieces (0, ((2,1),(3,1)), b) by H-edges and by
+# this non-H label
+NON_H = Gl2Matrix(1, 2, 1, 1)
+
+
+def _family_graph(bs, ends):
+    """One piece per b, joined by the (u, v, label) ends in id order."""
+    ids = [f"v{i:04d}" for i in range(len(bs))]
+    return build_graph({vid: SeifertData(0, ((2, 1), (3, 1)), b) for vid, b in zip(ids, bs)},
+                       [Edge(f"e{i:04d}", ids[u], ids[v], m) for i, (u, v, m) in enumerate(ends)])
+
+
+def _h_path(k):
+    return [(i, i + 1, H) for i in range(k)]
+
+
+def _disjoint_h_edges(k):
+    """k H-edges in a path, each between two pieces of its own."""
+    return [(i, i + 1, H if i % 2 == 0 else NON_H) for i in range(2 * k - 1)]
+
+
+def _h_triangles(c):
+    """c triangles of H-edges in a chain, Phi = c."""
+    ends = []
+    for t in range(0, 3 * c, 3):
+        ends += [(t, t + 1, H), (t + 1, t + 2, H), (t, t + 2, H)] + [(t + 2, t + 3, NON_H)] * (t + 3 < 3 * c)
+    return ends
+
+
+FAMILIES = {"disjoint H-edges": _disjoint_h_edges(20), "H-path": _h_path(20), "H-triangles": _h_triangles(4)}
+
+# sha256 of json.dumps(best_bound(g).to_json_dict(), indent=2) on each
+# family, b drawn from Random(seed).randint(-4, 4) per vertex
+FAMILY_DIGESTS = {
+    ("disjoint H-edges", 0): "876f877c77d860d25beeab869c5394d4517ca31e9ba3ad19662034042b2a9762",
+    ("disjoint H-edges", 1): "e846a08135b66d5eef41cb7ca3b80fb18e67ea98788b89228fed70a21800c869",
+    ("disjoint H-edges", 2): "2d9721a6390912c48af8bcf417a71bb4353ccea016f13ee55dcf902d47f0f2b0",
+    ("H-path", 0): "6d44068bd23e3851a733e85da6e4584cdad6c492b36f65a41ad80e7ff6dafcf8",
+    ("H-path", 1): "b50401bf8e3df52cfe1ad5bb98ca43c453996d993b7f10e2c3572f0dec758a32",
+    ("H-path", 2): "a77b79198f3db14930b341bf8ad703769eed65dd1ba3f4d4a438655aa4d709a1",
+    ("H-triangles", 0): "f6dfeb89ad26188b986930108c42982b37d903b1323ed1bb467574834ca42b20",
+    ("H-triangles", 1): "8851643d3f15cc6f1ff2f635a046906b2737120e86eaec483eb408d68beb6ef9",
+    ("H-triangles", 2): "54bc2676390e90b03a6bb76aa0ecdad3fe853b5ad7999ae6c049104c252bfb6e",
+}
+
+
+def test_family_report_bytes_pinned():
+    # the largest instances the default budget lets through on each family,
+    # where the cut has the most to do: a change to the search that moves a
+    # witness or a term moves these bytes
+    for (name, seed), digest in FAMILY_DIGESTS.items():
+        ends = FAMILIES[name]
+        rng = random.Random(seed)
+        g = _family_graph([rng.randint(-4, 4) for _ in range(max(max(u, v) for u, v, _ in ends) + 1)], ends)
+        assert is_valid(g)
+        text = json.dumps(best_bound(g).to_json_dict(), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, seed)
+
+
+def test_a_deep_h_path_is_searched_without_recursion():
+    # 1500 H-edges in a path make a search 1500 edges deep, past the
+    # interpreter's recursion limit; all +, the first labeling, sums to 0
+    # at b = 0, and at b = 1 each end of the path pays 1 whatever its label
+    for b, least in ((0, 0), (1, 2)):
+        g = _family_graph([b] * 1501, _h_path(1500))
+        report = best_bound(g, assignment_cap=2**1500)
+        assert report.min_penalty == least
+        _replay(g, report)
