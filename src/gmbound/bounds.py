@@ -363,7 +363,7 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
         min_penalty=min_penalty,
-        witness_tree=tuple(sorted([eid for eid, _ in psi] + completion)) if theorem == "general" else None,
+        witness_tree=tuple(sorted(completion + tuple([eid for eid, _ in psi]))) if theorem == "general" else None,
         witness_psi=None if theorem == "regular" else psi,
         witness_psi_prime=psi_prime if theorem == "general" else None,
     )

@@ -15,7 +15,10 @@ completion over every edge, the non-H edges that join what the H-forest
 leaves apart.  It is the one place that decides connectivity: it gives no
 completion (None) when the graph is disconnected or empty.  validate,
 degree_stats and bounds read H-ness, degrees, Phi and the completion from
-it, and the tree scan in spanning takes its H-edges and Phi.
+it, and the tree scan in spanning takes its H-edges and Phi.  It runs once
+per graph: the graph keeps the split, immutable, in a slot outside its
+fields, so every command classifies each edge once, however many of those
+readers it calls.
 
 Each check runs in one place:
 
@@ -36,8 +39,8 @@ Each check runs in one place:
                    is_normalized call each, whose error
                    becomes the violation), well-formed fibres, class S for
                    the vertex degree, and the small-graph exclusions (i)
-                   and (ii)(a)-(c); degrees and H-edges come from one
-                   _split call.
+                   and (ii)(a)-(c); degrees and H-edges come from the
+                   graph's one split.
 """
 
 from __future__ import annotations
@@ -69,8 +72,19 @@ class Edge:
         return self.src == self.dst
 
 
+class _Kept:
+    """One slot, outside the dataclass fields, for what _split computes.
+
+    _split fills it once, with object.__setattr__, and reads it after.  No
+    field holds it, so repr, ==, hash, dataclasses.replace, copy and pickle
+    never see it: a replaced, copied or unpickled graph splits anew.
+    """
+
+    __slots__ = ("_kept",)
+
+
 @dataclass(frozen=True, slots=True)
-class DecompositionGraph:
+class DecompositionGraph(_Kept):
     """Vertices keyed by id plus an id-sorted tuple of edges; immutable."""
 
     vertices: dict[str, SeifertData]
@@ -148,6 +162,12 @@ def _split(g: DecompositionGraph):
     """Each edge classified once: (h_links, rest, plus, minus, zero,
     completion, phi).
 
+    The first call on a graph keeps its answer in the graph's one slot
+    outside its fields (_Kept), and every later call returns that same
+    answer; a graph that replace, copy, pickle or normalize_all gives
+    computes its own.  The answer is immutable, tuples and an int, so no
+    reader can change what the next one reads.
+
     h_links are the H-edges as (id, u, v) links of _links(g), and rest the
     other edges, both in id order.  plus, minus and zero count, per vertex
     index, the non-H out-ends, the non-H in-ends and the H-ends, as
@@ -163,10 +183,13 @@ def _split(g: DecompositionGraph):
     n - 1 edges exactly when the graph is connected; otherwise, and for a
     graph with no vertices, completion is None.  This is the one
     connectivity test: validate reports a violation and bounds._bound
-    refuses the graph on None.  A bound makes one call and hands h_links
-    and phi on to spanning.optimal_trees, which makes none and never reads
+    refuses the graph on None.  A bound reads h_links and phi and hands
+    them on to spanning.optimal_trees, which makes no call and never reads
     the completion.
     """
+    kept = getattr(g, "_kept", None)
+    if kept:
+        return kept
     n = len(g.vertices)
     links = _links(g)
     h_links, rest = [], []
@@ -186,7 +209,11 @@ def _split(g: DecompositionGraph):
     completion = _grow(parent, links)
     # a spanning forest of n vertices is one tree exactly when it holds n - 1
     # edges, which no forest does on no vertices
-    return h_links, rest, plus, minus, zero, completion if len(h_links) - phi + len(completion) == n - 1 else None, phi
+    connected = len(h_links) - phi + len(completion) == n - 1
+    kept = (tuple(h_links), tuple(rest), tuple(plus), tuple(minus), tuple(zero),
+            tuple(completion) if connected else None, phi)
+    object.__setattr__(g, "_kept", kept)
+    return kept
 
 
 def _find(parent: list[int], x: int) -> int:

@@ -87,7 +87,7 @@ def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     h_links, *_, completion, capital = _split(g)
     if completion is None:
         raise ValueError("graph has no spanning tree (disconnected)")
-    return tuple([tuple(sorted([eid for eid, _, _ in signed] + completion))
+    return tuple([tuple(sorted([eid for eid, _, _ in signed] + list(completion)))
                   for signed, _ in optimal_trees(len(g.vertices), h_links, capital)])
 
 

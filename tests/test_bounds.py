@@ -490,15 +490,20 @@ def _replay(g: DecompositionGraph, report: BoundReport) -> None:
     for e in h_edges:
         if e.id in six:
             _add_six_valued(plus, minus, e, six[e.id])
+    # every vertex's degrees in one pass over the raw edges
+    d_plus, d_minus, d = (dict.fromkeys(g.vertices, 0) for _ in range(3))
+    for e in g.edges:
+        d[e.src] += 1
+        d[e.dst] += 1
+        if not is_plus_minus_h(e.matrix):
+            d_plus[e.src] += 1
+            d_minus[e.dst] += 1
     vertex_terms = []
     for vid, s in g.vertices.items():
-        d_plus = sum(1 for e in g.edges if not is_plus_minus_h(e.matrix) and e.src == vid)
-        d_minus = sum(1 for e in g.edges if not is_plus_minus_h(e.matrix) and e.dst == vid)
-        d = sum((e.src == vid) + (e.dst == vid) for e in g.edges)
         r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
-        penalty = f(1 - r - h - d_minus - minus.get(vid, 0), h + d_plus + plus.get(vid, 0) - 1, s.b)
-        vertex_terms.append((vid, VertexTerms(3 * (d + r + 2 * h - 2), sum([cf_sum(p, q) - 2 for p, q in s.fibres]),
-                                              penalty)))
+        penalty = f(1 - r - h - d_minus[vid] - minus.get(vid, 0), h + d_plus[vid] + plus.get(vid, 0) - 1, s.b)
+        vertex_terms.append((vid, VertexTerms(3 * (d[vid] + r + 2 * h - 2),
+                                              sum([cf_sum(p, q) - 2 for p, q in s.fibres]), penalty)))
     assert report.vertex_terms == tuple(vertex_terms)
     assert report.min_penalty == sum([t.penalty for _, t in vertex_terms]) == _window_penalty_sum(g, plus, minus)
     assert report.edge_terms == tuple([(e.id, matrix_complexity(e.matrix))
@@ -530,8 +535,10 @@ def test_every_witness_replays_on_the_presentation_sweep():
 
 
 def test_one_bound_classifies_each_edge_once(monkeypatch):
-    # graph._split tells H-edges from the others once per bound; gl2's own
-    # binding prices non-H labels by another rule and is left alone
+    # graph._split tells H-edges from the others once per graph, which keeps
+    # it, so validating and then bounding a fresh copy classifies each edge
+    # exactly once; gl2's own binding prices non-H labels by another rule
+    # and is left alone
     rng = random.Random(22)
     graphs = [normalize_all(graph_from_json(path.read_text()))[0] for path in sorted(FIXTURES.glob("*.json"))]
     graphs = [g for g in graphs if is_valid(g)] + [random_valid_graph(rng) for _ in range(300)]
@@ -546,9 +553,11 @@ def test_one_bound_classifies_each_edge_once(monkeypatch):
             monkeypatch.setattr(module, "is_plus_minus_h", counting)
     theorems = set()
     for g in graphs:
+        g = replace(g)  # the fixtures were validated above; a copy keeps no split
         calls.clear()
+        assert is_valid(g)
         theorems.add(best_bound(g).theorem)
-        assert len(calls) <= len(g.edges), graph_to_json(g)
+        assert len(calls) == len(g.edges), graph_to_json(g)
     assert theorems == {"regular", "tree", "general"}
 
 

@@ -19,6 +19,7 @@ from gmbound.bounds import (
     bound_regular,
     bound_tree,
 )
+from gmbound.gl2 import is_plus_minus_h
 from gmbound.graph import graph_from_json, graph_to_json, normalize_all
 from gmbound.oracle import MinFResult, bruteforce_min_f
 from sample_graphs import h_loops
@@ -670,3 +671,36 @@ def test_oracle_minf_gives_the_production_side_the_budget(monkeypatch, capsys):
     assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
     assert caps == [10**7]
     assert "witnesses equal" in capsys.readouterr().out
+
+
+def test_every_command_classifies_each_edge_once(monkeypatch, capsys, tmp_path):
+    # a graph keeps its graph._split, so validate, the bound and oracle
+    # phi's and minf's Phi all read one classification of each edge; batch
+    # splits each file's graph once
+    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+    one = FIXTURES / "parallel_h.json"
+    pair = [FIXTURES / "h_pair.json", one]
+    for path in pair:
+        (tmp_path / path.name).write_text(path.read_text())
+    # each command, and the graph files it reads
+    runs = [
+        (["validate", str(one)], [one]),
+        (["bound", str(one)], [one]),
+        (["bound", "--normalize-first", "--breakdown", str(one)], [one]),
+        (["oracle", "phi", str(one)], [one]),
+        (["oracle", "minf", str(one)], [one]),
+        (["batch", str(tmp_path)], pair),
+    ]
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return is_plus_minus_h(m)
+
+    monkeypatch.setattr("gmbound.graph.is_plus_minus_h", counting)
+    for args, read in runs:
+        edges = sum([len(graph_from_json(path.read_text()).edges) for path in read])
+        calls.clear()
+        assert cli.main(args) == 0, args
+        assert len(calls) == edges, args
+    capsys.readouterr()

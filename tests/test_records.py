@@ -2,28 +2,45 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from gmbound import gl2
 from gmbound.bounds import BoundReport, VertexTerms, best_bound
 from gmbound.gl2 import H, Gl2Matrix
-from gmbound.graph import DecompositionGraph, DegreeStats, Edge, EdgeMove, Violation
+from gmbound.graph import (
+    DecompositionGraph,
+    DegreeStats,
+    Edge,
+    EdgeMove,
+    Violation,
+    _split,
+    normalize_all,
+    validate,
+)
 from gmbound.seifert import SeifertData
-from sample_graphs import U, h_pair
+from sample_graphs import U, connectivity_sweep, h_loops, h_pair, parallel_h, random_multigraph
+
+# a graph that keeps its split: the record checks below see it with the slot
+# that graph._split fills
+SPLIT = h_pair()
+assert not validate(SPLIT)
 
 # record -> (instance, a field, another valid value for it)
 RECORDS = {
     Gl2Matrix: (Gl2Matrix(1, 2, 1, 1), "delta", 3),
     SeifertData: (SeifertData(0, ((2, 1), (3, 1)), -1), "b", 4),
     Edge: (Edge("e1", "v1", "v2", H), "matrix", U),
-    DecompositionGraph: (h_pair(), "edges", ()),
+    DecompositionGraph: (SPLIT, "edges", ()),
     EdgeMove: (EdgeMove("e1", -1, 2), "h", 0),
     DegreeStats: (DegreeStats(3, 1, 1, 1), "d_zero", 2),
     Violation: (Violation("(i)", "e1", "message"), "severity", "note"),
     VertexTerms: (VertexTerms(3, 1, 2), "penalty", 0),
-    BoundReport: (best_bound(h_pair()), "total", 0),
+    BoundReport: (best_bound(SPLIT), "total", 0),
 }
 
 
@@ -53,5 +70,60 @@ def test_records_are_frozen_slotted_dataclasses(record):
     if record is DecompositionGraph:  # its vertices are a dict
         with pytest.raises(TypeError):
             hash(obj)
+        # the split is kept, and no assignment replaces it (the frozen
+        # __setattr__ of Python 3.11 fails on its super() call, as above)
+        kept = _split(obj)
+        assert obj._kept is kept
+        with pytest.raises((FrozenInstanceError, TypeError)):
+            obj._kept = None
+        assert _split(obj) is kept
     else:
         assert hash(twin) == hash(obj)
+
+
+def _some_graphs():
+    """Connected and disconnected graphs, with and without H-edges, loops
+    and parallel edges, and the graph with no vertices."""
+    rng = random.Random(30)
+    graphs = [h_pair(), parallel_h()] + [h_loops(n) for n in range(3)] + connectivity_sweep()
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        graphs.append(random_multigraph(rng, n, rng.randint(0, n + 4), rng.random()))
+    return graphs
+
+
+def test_the_kept_split_is_immutable():
+    # no reader can change what the next one reads: the split holds tuples,
+    # completion is None exactly when the graph is disconnected, phi an int
+    disconnected = set()
+    for g in _some_graphs():
+        kept = _split(g)
+        assert _split(g) is kept
+        h_links, rest, plus, minus, zero, completion, phi = kept
+        assert all(type(part) is tuple for part in (kept, h_links, rest, plus, minus, zero, *h_links))
+        assert completion is None or type(completion) is tuple
+        assert type(phi) is int
+        disconnected.add(completion is None)
+    assert disconnected == {True, False}
+
+
+def test_a_new_graph_splits_anew(monkeypatch):
+    # the slot is no field: normalize_all, replace, copy and pickle all give a
+    # graph that classifies its edges again, while the original reads its own
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return gl2.is_plus_minus_h(m)
+
+    monkeypatch.setattr("gmbound.graph.is_plus_minus_h", counting)
+    for g in _some_graphs():
+        kept = _split(g)
+        copies = [normalize_all(g)[0], replace(g), copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))]
+        for twin in copies:
+            assert twin == g and repr(twin) == repr(g)
+            calls.clear()
+            assert _split(twin) == kept and _split(twin) is not kept
+            assert len(calls) == len(g.edges)
+        calls.clear()
+        assert _split(g) is kept and not calls

@@ -153,7 +153,7 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
         h_links, *_, completion, capital = _split(g)
         layouts = optimal_trees(len(g.vertices), h_links, capital)
         # a layout holds no tree: its tree is its basis, the signed H-edges, plus the completion
-        layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + completion)) for signed, _ in layouts]
+        layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + list(completion))) for signed, _ in layouts]
         assert tuple(layout_trees) == tuple(trees[0] for trees in classes.values())
         # each layout splits the H-edges, as (id, u, v) links in id order, by its tree
         index = {vid: i for i, vid in enumerate(g.vertices)}
