@@ -10,8 +10,8 @@ six-valued ones.  Every layout comes from optimal_trees: one per distinct
 set T & H of H-edges inside an optimal spanning tree T, standing for the
 first such tree, since the penalties depend on T only through T & H.  A
 disconnected or empty graph has no spanning tree, so every evaluator
-refuses it: graph._split gives it no completion, and _bound raises before
-the scan.  The three theorems are three labels over the search:
+refuses it, before the scan.  The three theorems are three labels over
+the search:
 
   bound_regular   no H-edges: the one layout optimal_trees gives, with
                   nothing to label;
@@ -22,21 +22,16 @@ the scan.  The three theorems are three labels over the search:
                   on T & H and one of six values on each H-edge left
                   outside, paying Phi(G) for those.
 
-Only bound_general reports its tree as a witness; the other two have a
-single tree and report None.  A layout holds no tree: _bound builds the one
-it reports, psi's H-edges plus the completion that every basis shares, and
-only in general mode.
+Only bound_general reports its tree as a witness, the one tree _bound
+builds; the other two have a single tree and report None.
 
 The search reads an instance of plain integers: per vertex m - b and
 b - M, in vertex order, and per layout its H-edges as (id, u, v) links of
 vertex indices, the format of graph's union-find.  _bound alone turns a
-graph into that instance, from one graph._split, the pass that classifies
-each edge as H or not once, grows the H-forest, for Phi, and its one
-completion, and decides connectivity, and from the layouts that
-optimal_trees builds from that split's H-links and Phi, each an H-basis
-and the H-edges outside it, so a bound classifies each edge once and
-grows each forest once; and tests can pin the search on instances built
-directly.
+graph into that instance, from the graph's one graph._split, which gives
+its H-edges, degrees, Phi, completion and connectivity, and from the
+layouts that optimal_trees builds from that split; and tests can pin the
+search on instances built directly.
 
 The search is exact, capped and deterministic: it returns the first
 labeling of least penalty sum in enumeration order (layouts in tree order,
@@ -305,37 +300,36 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     specific one that applies, any other label is checked to apply.
 
     The checks come in a fixed order: the theorem label, the assignment
-    cap, then connectivity (graph._split gives no completion for a
-    disconnected or empty graph, refused with a ValueError), all before
-    the scan and the per-vertex window check.
+    cap, then connectivity (a None completion from graph._split, refused
+    with a ValueError), all before the scan and the per-vertex window check.
 
     The only place a tree is built: in general mode, the witness tree is
-    psi's H-edges, the winning basis, plus the completion that every basis
-    shares, sorted.  Regular and tree mode report None and build none."""
-    h_links, rest, plus, minus, zero, completion, phi_value = _split(g)
+    psi's H-edges, the winning basis, plus the split's completion, sorted.
+    Regular and tree mode report None and build none."""
+    split = _split(g)
     if theorem is None:
-        theorem = "general" if phi_value else "tree" if h_links else "regular"
-    elif theorem == "regular" and h_links:
+        theorem = "general" if split.phi else "tree" if split.h_links else "regular"
+    elif theorem == "regular" and split.h_links:
         raise TheoremInapplicable(
-            f"regular evaluator needs a graph without +-H edges, found {[eid for eid, _, _ in h_links]}")
-    elif theorem == "tree" and phi_value:
+            f"regular evaluator needs a graph without +-H edges, found {[eid for eid, _, _ in split.h_links]}")
+    elif theorem == "tree" and split.phi:
         raise TheoremInapplicable("tree evaluator needs every +-H edge inside one spanning tree")
 
     # every optimal tree leaves Phi(G) H-edges outside, so the count does not
     # depend on the tree and is checked before the scan
-    count = 2 ** (len(h_links) - phi_value) * 6 ** phi_value
+    count = 2 ** (len(split.h_links) - split.phi) * 6 ** split.phi
     if theorem != "regular" and count > assignment_cap:
         raise CapExceeded(
             f"assignment search needs {int_text(count)} > cap {int_text(assignment_cap)} assignments",
             needed=count)
-    if completion is None:
+    if split.completion is None:
         raise ValueError("graph has no spanning tree (disconnected)")
     # the scan checks comb(|H|, Phi) <= 2^|H| <= count <= assignment_cap
     # subsets, so the check above is its only budget
-    layouts = optimal_trees(len(g.vertices), h_links, phi_value)
+    layouts = optimal_trees(len(g.vertices), split.h_links, split.phi)
 
     short, over, fixed = [], [], []
-    for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), plus, minus, zero):
+    for (vid, s), d_plus, d_minus, k in zip(g.vertices.items(), split.plus, split.minus, split.zero):
         r, h = len(s.fibres), handle_count(s)
         m, M = 1 - r - h - d_minus, h + d_plus - 1
         # f's window check on every labeled window at once: labels only widen
@@ -351,19 +345,19 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     pens, psi, psi_prime = _search(layouts, short, over)
 
     cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
-    edge_terms = tuple([(e.id, matrix_complexity(e.matrix)) for e in rest])
+    edge_terms = tuple([(e.id, matrix_complexity(e.matrix)) for e in split.rest])
     vertex_terms = tuple([
         (vid, VertexTerms(base, fib, pen)) for vid, (base, fib), pen in zip(g.vertices, fixed, pens)])
     min_penalty = sum(pens)
     return BoundReport(
         theorem=theorem,
-        total=cycle + phi_value + sum([v for _, v in edge_terms]) + sum(map(sum, fixed)) + min_penalty,
+        total=cycle + split.phi + sum([v for _, v in edge_terms]) + sum(map(sum, fixed)) + min_penalty,
         cycle_term=cycle,
-        phi_term=phi_value,
+        phi_term=split.phi,
         edge_terms=edge_terms,
         vertex_terms=vertex_terms,
         min_penalty=min_penalty,
-        witness_tree=tuple(sorted(completion + tuple([eid for eid, _ in psi]))) if theorem == "general" else None,
+        witness_tree=tuple(sorted([*split.completion, *[eid for eid, _ in psi]])) if theorem == "general" else None,
         witness_psi=None if theorem == "regular" else psi,
         witness_psi_prime=psi_prime if theorem == "general" else None,
     )

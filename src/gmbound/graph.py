@@ -8,17 +8,10 @@ fixes which way the matrix acts, and reversing an edge would replace the
 matrix by its (re-normalized) inverse.
 
 Edges with matrix +-H play a special role in the bound evaluators and are
-referred to as H-edges throughout; _split tells them from the other edges
-in one pass, splits vertex degrees accordingly and grows one union-find:
-a greedy forest over the H-edges, whose leftovers are Phi, and then its
-completion over every edge, the non-H edges that join what the H-forest
-leaves apart.  It is the one place that decides connectivity: it gives no
-completion (None) when the graph is disconnected or empty.  validate,
-degree_stats and bounds read H-ness, degrees, Phi and the completion from
-it, and the tree scan in spanning takes its H-edges and Phi.  It runs once
-per graph: the graph keeps the split, immutable, in a slot outside its
-fields, so every command classifies each edge once, however many of those
-readers it calls.
+referred to as H-edges throughout.  _split tells them from the other edges
+once per graph and is the one connectivity test; validate, degree_stats,
+spanning and bounds read its Split by name.  Its docstring is the one
+account of what it computes, how and when.
 
 Each check runs in one place:
 
@@ -73,12 +66,7 @@ class Edge:
 
 
 class _Kept:
-    """One slot, outside the dataclass fields, for what _split computes.
-
-    _split fills it once, with object.__setattr__, and reads it after.  No
-    field holds it, so repr, ==, hash, dataclasses.replace, copy and pickle
-    never see it: a replaced, copied or unpickled graph splits anew.
-    """
+    """One slot, outside the dataclass fields, for the Split of _split."""
 
     __slots__ = ("_kept",)
 
@@ -142,8 +130,8 @@ def degree(g: DecompositionGraph, vid: str) -> int:
 
 
 def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
-    plus, minus, zero = _split(g)[2:5]
-    return {vid: DegreeStats(p + m + z, p, m, z) for vid, p, m, z in zip(g.vertices, plus, minus, zero)}
+    s = _split(g)
+    return {vid: DegreeStats(p + m + z, p, m, z) for vid, p, m, z in zip(g.vertices, s.plus, s.minus, s.zero)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +146,64 @@ def _links(g: DecompositionGraph) -> list[tuple[str, int, int]]:
     return [(e.id, index[e.src], index[e.dst]) for e in g.edges]
 
 
-def _split(g: DecompositionGraph):
-    """Each edge classified once: (h_links, rest, plus, minus, zero,
-    completion, phi).
+@dataclass(frozen=True, slots=True)
+class Split:
+    """Each edge of a graph classified once; _split tells what each field is."""
 
-    The first call on a graph keeps its answer in the graph's one slot
-    outside its fields (_Kept), and every later call returns that same
-    answer; a graph that replace, copy, pickle or normalize_all gives
-    computes its own.  The answer is immutable, tuples and an int, so no
-    reader can change what the next one reads.
+    h_links: tuple[tuple[str, int, int], ...]
+    rest: tuple[Edge, ...]
+    plus: tuple[int, ...]
+    minus: tuple[int, ...]
+    zero: tuple[int, ...]
+    completion: tuple[str, ...] | None
+    phi: int
 
-    h_links are the H-edges as (id, u, v) links of _links(g), and rest the
-    other edges, both in id order.  plus, minus and zero count, per vertex
-    index, the non-H out-ends, the non-H in-ends and the H-ends, as
-    DegreeStats does; a loop gives both of its ends to its vertex.
+
+def _split(g: DecompositionGraph) -> Split:
+    """Each edge classified once, as H-edge or not, with the one union-find
+    grown over them.  This is the one account of the split; its readers
+    refer here.
+
+    Fields, read by name (a Split is a frozen, slotted dataclass, so it
+    cannot be indexed or unpacked, and none of its readers depends on field
+    order):
+
+      h_links     the H-edges (matrix +-H) as (id, u, v) links of _links(g),
+                  in id order; u and v index g.vertices;
+      rest        the other edges, in id order;
+      plus, minus, zero
+                  per vertex index, the non-H out-ends, the non-H in-ends
+                  and the H-ends, as DegreeStats counts them; a loop gives
+                  both of its ends to its vertex;
+      completion  the ids of the non-H edges that complete the H-forest to
+                  a spanning tree, in id order; None when the graph is
+                  disconnected or has no vertices;
+      phi         Phi(G), the fewest H-edges any spanning tree leaves out.
 
     One union-find is grown, in two passes.  The first takes h_links
-    greedily; phi is Phi(G), the H-links it cannot take, every H-loop among
+    greedily; phi counts the H-links it cannot take, every H-loop among
     them.  Spanning forests form a matroid, so that is the fewest H-edges
     any spanning tree of a connected graph leaves out.  The second goes on
     over every link in id order: its union-find already joins each
-    H-component, so it takes no H-link, and completion is the ids of the
-    non-H links it adds, in id order.  The H-forest and completion hold
-    n - 1 edges exactly when the graph is connected; otherwise, and for a
-    graph with no vertices, completion is None.  This is the one
-    connectivity test: validate reports a violation and bounds._bound
-    refuses the graph on None.  A bound reads h_links and phi and hands
-    them on to spanning.optimal_trees, which makes no call and never reads
-    the completion.
+    H-component, so it takes no H-link, and adds the non-H links that join
+    what the H-forest leaves apart.  Every H-basis joins the same vertices,
+    so the completion is the same for every basis, and a basis plus the
+    completion, sorted, is the first spanning tree holding that basis.
+
+    The H-forest and the completion hold n - 1 edges exactly when the graph
+    is connected; otherwise, and for a graph with no vertices, completion
+    is None.  This is the one connectivity test: validate reports a
+    violation and bounds._bound refuses the graph on None, and
+    spanning.optimal_trees, which takes h_links and phi, decides nothing.
+
+    It runs once per graph.  The first call keeps the Split in the graph's
+    one slot outside its fields (_Kept), filled with object.__setattr__,
+    and every later call returns that same Split; as no field holds it,
+    repr, ==, hash, dataclasses.replace, copy and pickle never see it, so a
+    graph that replace, copy, pickle or normalize_all gives splits anew.
+    The Split holds only tuples, None and an int, so no reader can change
+    what the next one reads, and every command classifies each edge once,
+    however many readers it calls.
     """
     kept = getattr(g, "_kept", None)
     if kept:
@@ -210,8 +228,8 @@ def _split(g: DecompositionGraph):
     # a spanning forest of n vertices is one tree exactly when it holds n - 1
     # edges, which no forest does on no vertices
     connected = len(h_links) - phi + len(completion) == n - 1
-    kept = (tuple(h_links), tuple(rest), tuple(plus), tuple(minus), tuple(zero),
-            tuple(completion) if connected else None, phi)
+    kept = Split(tuple(h_links), tuple(rest), tuple(plus), tuple(minus), tuple(zero),
+                 tuple(completion) if connected else None, phi)
     object.__setattr__(g, "_kept", kept)
     return kept
 
@@ -277,8 +295,8 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     if not g.edges:
         out.append(Violation("non-trivial", "graph", "graph must contain at least one edge"))
-    h_links, _, plus, minus, zero, completion, _ = _split(g)
-    if completion is None:
+    split = _split(g)
+    if split.completion is None:
         out.append(Violation("connectivity", "graph", "graph must be connected"))
 
     for e in g.edges:
@@ -291,7 +309,7 @@ def validate(g: DecompositionGraph) -> list[Violation]:
             out.append(Violation("loops", e.id, "loop edge (admitted; never part of a spanning tree)", "note"))
 
     pieces = list(g.vertices.items())
-    for (vid, s), d_plus, d_minus, d_zero in zip(pieces, plus, minus, zero):
+    for (vid, s), d_plus, d_minus, d_zero in zip(pieces, split.plus, split.minus, split.zero):
         for msg in fibre_problems(s):
             out.append(Violation("seifert-data", vid, msg))
         for msg in validate_class_s(s, d_plus + d_minus + d_zero):
@@ -299,10 +317,10 @@ def validate(g: DecompositionGraph) -> list[Violation]:
 
     # exclusion (i): an H-edge may not touch a degree-1 piece (0,1,(2,1),(2,1),-1);
     # its ends are visited source first
-    for eid, u, v in h_links:
+    for eid, u, v in split.h_links:
         for i in (u, v):
             vid, s = pieces[i]
-            if _is_two_half_fibred_disk(s) and s.b == -1 and plus[i] + minus[i] + zero[i] == 1:
+            if _is_two_half_fibred_disk(s) and s.b == -1 and split.plus[i] + split.minus[i] + split.zero[i] == 1:
                 out.append(Violation(
                     "(i)", eid,
                     f"+-H gluing touches vertex {vid}, a (0,1,(2,1),(2,1),-1) piece"))
@@ -314,7 +332,7 @@ def validate(g: DecompositionGraph) -> list[Violation]:
         if _is_two_half_fibred_disk(s1) and _is_two_half_fibred_disk(s2):
             pair = (s1.b, s2.b)
             # the one edge is an H-edge exactly when h_links holds it
-            if h_links and pair in ((0, 0), (-2, -2)):
+            if split.h_links and pair in ((0, 0), (-2, -2)):
                 out.append(Violation(
                     "(ii)(a)", e.id, f"+-H gluing of two (2,1)(2,1) disk pieces with b = {pair}"))
             if _matches_shifted_h(e.matrix) and pair == (-1, -2):

@@ -2,14 +2,11 @@
 
 For a spanning tree T, phi(T) counts the H-edges (matrix +-H) left outside
 T, and Phi(G) is the minimum of phi over all spanning trees.  Spanning
-forests form a matroid, so Phi comes from a greedy forest construction,
-which graph._split runs in its one pass over the edges, and a tree attains
-Phi exactly when its H-edges T & H form a basis of the H-subgraph's
-graphic matroid, a spanning forest of the H-edges.  Everything the bounds
-score depends on T only through T & H, so the optimal trees are enumerated
-one per basis, each given by its H-edges alone: the basis, signed, and the
-other H-edges, outside.  Its tree is the basis plus a completion that every
-basis shares, and only a bound that reports a tree builds one.
+forests form a matroid, so a tree attains Phi exactly when its H-edges
+T & H form a basis of the H-subgraph's graphic matroid, a spanning forest
+of the H-edges.  Everything the bounds score depends on T only through
+T & H, so the optimal trees are enumerated one per basis, each given by
+its H-edges alone: the basis, signed, and the other H-edges, outside.
 
 The bases are found by their definition: one scan of the rank-sized
 subsets of the H-edges, in lexicographic order, keeps each subset that a
@@ -18,19 +15,18 @@ count known before the scan starts, which the bounds check against their
 budget; the scan itself has no cap.  Nothing recurses, and memory is
 O(|V| + |H|) however deep the graph.
 
-Every forest is grown by the union-find of graph (_grow).  graph._split,
-the one pass that tells H-edges apart, grows it once per graph: the greedy
-H-forest, for Phi, and then its completion over every edge, which is the
-same for every basis.  _split is also the one place that decides
-connectivity: it gives no completion for a disconnected graph, and its
-callers refuse one.  optimal_trees takes the vertex count and the H-links
-and Phi of its caller's split, and nothing else: it is the basis scan
-alone, it makes no split, completes no tree and refuses nothing, so a
-bound classifies each edge once.  The bases depend only on the H-edges,
-so the scan runs as well on the H-links of one H-component, re-indexed
-over that component's vertices, with that component's Phi.  capital_phi
-reads _split, and is_spanning_tree filters _links.  This module keeps
-only the bound's forest questions.
+Phi, the H-links, the completion that makes a basis a tree, and the
+connectivity test all come from graph._split, whose docstring tells how.
+capital_phi reads its phi; optimal_trees takes its h_links and phi and
+nothing else, so it makes no split, builds no tree and refuses nothing.
+The bases depend only on the H-edges, so the scan runs as well on the
+H-links of one H-component, re-indexed over that component's vertices,
+with that component's Phi.
+
+Besides the bound's forest questions, the module holds is_spanning_tree,
+checking code that no production module calls: only the benchmark checker
+(bench/check.py) and the tests import it.  It stays until that checker no
+longer needs it.
 
 Loops never belong to a spanning tree, so every H-loop contributes 1 to Phi
 no matter what.  A single-vertex graph has exactly one spanning tree, the
@@ -60,34 +56,24 @@ def capital_phi(g: DecompositionGraph) -> int:
 
     Spanning forests form a matroid, so inserting the H-edges first packs
     as many of them into a single spanning tree as possible; what cannot be
-    placed, every H-loop among it, is exactly the minimum.  graph._split
-    computes it, in the pass that classifies the edges.  The graph must be
-    connected.
+    placed, every H-loop among it, is exactly the minimum.  It is the phi
+    of graph._split.  The graph must be connected.
     """
-    return _split(g)[-1]
+    return _split(g).phi
 
 
 def optimal_trees(n: int, h_links, phi: int):
     """One layout (signed, outside) per distinct set of tree H-edges of the
     spanning trees attaining Phi, in tree order.
 
-    n is the number of vertices, and h_links and phi are what graph._split
-    returns for the graph: the H-edges as (id, u, v) links in id order, and
+    n is the number of vertices, and h_links and phi are those fields of
+    graph._split(g): the H-edges as (id, u, v) links in id order, and
     Phi(G), which is len(h_links) less the rank of the H-edges.  signed is
     a basis B, a tuple of H-links, and outside the other H-links, both in
     h_links order, as bounds._search reads them.  No tree is built, and
-    nothing here reads the rest of the graph: whether it is connected is
-    decided by graph._split, and refused by its callers, before the scan.
-
-    The tree H-edges of an optimal tree are a basis B of the H-subgraph's
-    graphic matroid, and every basis occurs.  Every basis joins the same
-    vertices, the H-components, so the greedy completion of B over all
-    edges in id order adds the same edges, completion, whatever B is; B
-    plus completion is the lexicographically first tree holding B, and
-    every other H-edge closes a cycle, because B is maximal.  So each
-    layout stands for the first tree of a class of optimal trees sharing
-    their H-edges, and a caller that needs that tree sorts B's ids with
-    the completion _split gave it.
+    nothing here reads the rest of the graph or decides connectivity.  The
+    first tree of the class of optimal trees sharing B as their H-edges is
+    B's ids and the split's completion, sorted (see _split).
 
     The bases are found by checking every rank-sized subset of the H-edges,
     comb(|H|, rank) = comb(|H|, Phi) of them, each with a union-find of

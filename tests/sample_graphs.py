@@ -84,11 +84,11 @@ def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
     """The trees of spanning.optimal_trees for g, from one graph._split, as
     the bounds call it: each layout's signed H-edges plus the completion.
     A graph the split gives no completion is refused as the bounds refuse it."""
-    h_links, *_, completion, capital = _split(g)
-    if completion is None:
+    split = _split(g)
+    if split.completion is None:
         raise ValueError("graph has no spanning tree (disconnected)")
-    return tuple([tuple(sorted([eid for eid, _, _ in signed] + list(completion)))
-                  for signed, _ in optimal_trees(len(g.vertices), h_links, capital)])
+    return tuple([tuple(sorted([eid for eid, _, _ in signed] + list(split.completion)))
+                  for signed, _ in optimal_trees(len(g.vertices), split.h_links, split.phi)])
 
 
 # ---------------------------------------------------------------------------

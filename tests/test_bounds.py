@@ -327,9 +327,9 @@ def test_the_assignment_cap_is_the_only_search_budget(monkeypatch):
     for cap in (12, 10**7):
         assert best_bound(g, assignment_cap=cap).total == 12
     assert len(splits) == len(seen) == 2
-    for (h_links, *_, capital), (args, kwargs) in zip(splits, seen):
+    for split, (args, kwargs) in zip(splits, seen):
         assert kwargs == {} and len(args) == 3
-        assert args[0] == len(g.vertices) and args[1] is h_links and args[2] == capital == 1
+        assert args[0] == len(g.vertices) and args[1] is split.h_links and args[2] == split.phi == 1
 
 
 def test_the_cap_is_keyword_only():

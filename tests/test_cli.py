@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -509,6 +510,25 @@ def test_readme_lists_the_bound_options():
     defined = {flag for action in commands.choices["bound"]._actions if action.dest != "help"
                for flag in action.option_strings}
     assert listed == defined
+
+
+def test_readme_python_runs_as_written(tmp_path):
+    # every ```python block of the README runs in a fresh interpreter (src/
+    # is on PYTHONPATH, see conftest.py) beside a graph.json that is the
+    # parallel_h fixture; the library example prints its theorem and total
+    # first and loads no checking code
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [textwrap.dedent(part.split("```", 1)[0]) for part in readme.split("```python\n")[1:]]
+    library = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert library in blocks
+    (tmp_path / "graph.json").write_text((FIXTURES / "parallel_h.json").read_text())
+    for block in blocks:
+        code = block + "import sys\nprint('gmbound.oracle' in sys.modules)\n"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path)
+        assert result.returncode == 0, block + result.stderr
+        if block == library:
+            assert result.stdout.startswith("general 12\n")
+            assert result.stdout.endswith("False\n")
 
 
 @pytest.mark.parametrize("theorem, fixture, message", [

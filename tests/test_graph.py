@@ -130,31 +130,31 @@ def test_the_split_agrees_with_the_raw_edge_list():
     for g in graphs:
         is_h = [gl2.is_plus_minus_h(e.matrix) for e in g.edges]
         index = {vid: i for i, vid in enumerate(g.vertices)}
-        h_links, rest, *_, completion, phi = graph._split(g)
-        assert phi == capital_phi(g)
+        split = graph._split(g)
+        assert split.phi == capital_phi(g)
         # the split is the one connectivity test: it gives a completion
         # exactly when the graph is connected, and that completion holds
         # non-H ids only, in id order, and with the H-forest is one
         # spanning tree
         connected = _spans(list(g.vertices), g.edges)
-        assert (completion is not None) == connected, graph_to_json(g)
+        assert (split.completion is not None) == connected, graph_to_json(g)
         if connected:
-            done = set(completion)
-            assert completion == tuple([e.id for e, h in zip(g.edges, is_h) if e.id in done and not h])
-            assert len(h_links) - phi + len(completion) == len(g.vertices) - 1
-            assert phi == bruteforce_phi(g), graph_to_json(g)
+            done = set(split.completion)
+            assert split.completion == tuple([e.id for e, h in zip(g.edges, is_h) if e.id in done and not h])
+            assert len(split.h_links) - split.phi + len(split.completion) == len(g.vertices) - 1
+            assert split.phi == bruteforce_phi(g), graph_to_json(g)
             # the first tree of each class of optimal trees sharing their
             # H-edges is those H-edges plus the completion
             classes = {}
             for tree in _all_spanning_trees(g):
                 ids = tuple(sorted(e.id for e in tree))
                 inside = frozenset(e.id for e, h in zip(g.edges, is_h) if h and e.id in ids)
-                if len(inside) == len(h_links) - phi:
+                if len(inside) == len(split.h_links) - split.phi:
                     classes.setdefault(inside, []).append(ids)
             assert classes
             assert all(min(trees) == tuple(sorted(done | inside)) for inside, trees in classes.items())
-        assert h_links == tuple([(e.id, index[e.src], index[e.dst]) for e, h in zip(g.edges, is_h) if h])
-        assert rest == tuple([e for e, h in zip(g.edges, is_h) if not h])
+        assert split.h_links == tuple([(e.id, index[e.src], index[e.dst]) for e, h in zip(g.edges, is_h) if h])
+        assert split.rest == tuple([e for e, h in zip(g.edges, is_h) if not h])
         stats = degree_stats(g)
         assert list(stats) == list(g.vertices)
         for vid in g.vertices:

@@ -17,6 +17,7 @@ from gmbound.graph import (
     DegreeStats,
     Edge,
     EdgeMove,
+    Split,
     Violation,
     _split,
     normalize_all,
@@ -36,6 +37,7 @@ RECORDS = {
     SeifertData: (SeifertData(0, ((2, 1), (3, 1)), -1), "b", 4),
     Edge: (Edge("e1", "v1", "v2", H), "matrix", U),
     DecompositionGraph: (SPLIT, "edges", ()),
+    Split: (_split(SPLIT), "phi", 1),
     EdgeMove: (EdgeMove("e1", -1, 2), "h", 0),
     DegreeStats: (DegreeStats(3, 1, 1, 1), "d_zero", 2),
     Violation: (Violation("(i)", "e1", "message"), "severity", "note"),
@@ -93,18 +95,31 @@ def _some_graphs():
 
 
 def test_the_kept_split_is_immutable():
-    # no reader can change what the next one reads: the split holds tuples,
-    # completion is None exactly when the graph is disconnected, phi an int
+    # no reader can change what the next one reads: the kept value is a
+    # Split of tuples, completion is None exactly when the graph is
+    # disconnected, phi an int
     disconnected = set()
     for g in _some_graphs():
         kept = _split(g)
-        assert _split(g) is kept
-        h_links, rest, plus, minus, zero, completion, phi = kept
-        assert all(type(part) is tuple for part in (kept, h_links, rest, plus, minus, zero, *h_links))
-        assert completion is None or type(completion) is tuple
-        assert type(phi) is int
-        disconnected.add(completion is None)
+        assert _split(g) is kept and type(kept) is Split
+        assert [f.name for f in fields(kept)] == ["h_links", "rest", "plus", "minus", "zero", "completion", "phi"]
+        parts = (kept.h_links, kept.rest, kept.plus, kept.minus, kept.zero, *kept.h_links)
+        assert all(type(part) is tuple for part in parts)
+        assert kept.completion is None or type(kept.completion) is tuple
+        assert type(kept.phi) is int
+        disconnected.add(kept.completion is None)
     assert disconnected == {True, False}
+
+
+def test_a_split_is_read_by_name():
+    # a Split has no order to lean on: indexing or unpacking it raises
+    split = _split(parallel_h())
+    with pytest.raises(TypeError):
+        tuple(split)
+    with pytest.raises(TypeError):
+        split[0]
+    with pytest.raises(TypeError):
+        h_links, *_ = split
 
 
 def test_a_new_graph_splits_anew(monkeypatch):

@@ -79,9 +79,9 @@ def test_optimal_trees_refuse_a_disconnected_graph():
         {"v1": _DISK, "v2": _DISK, "v3": _DISK},
         [Edge("e1", "v1", "v2", H), Edge("e2", "v3", "v3", _M)],
     )
-    h_links, *_, completion, capital = _split(g)
-    assert completion is None and capital == 0
-    assert [signed for signed, _ in optimal_trees(len(g.vertices), h_links, capital)] == [tuple(h_links)]
+    split = _split(g)
+    assert split.completion is None and split.phi == 0
+    assert [signed for signed, _ in optimal_trees(len(g.vertices), split.h_links, split.phi)] == [split.h_links]
     for refuse in (best_bound, optimal_tree_ids):
         with pytest.raises(ValueError, match=r"^graph has no spanning tree \(disconnected\)$"):
             refuse(g)
@@ -110,7 +110,7 @@ def test_a_disconnected_graph_is_refused_before_the_scan(monkeypatch):
     assert checks == []
 
 
-def test_tree_cap():
+def test_one_budget_bounds_the_doubled_h_four_cycle():
     # doubled 4-cycle of H-edges: 4 * 2^3 = 32 spanning trees, each holding
     # a different set of H-edges, so all 32 are returned as optimal trees
     vertices = {f"v{i}": _DISK for i in range(1, 5)}
@@ -150,10 +150,11 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
     shared = 0
     for g in graphs:
         classes = _optimal_trees_by_h_basis(g)
-        h_links, *_, completion, capital = _split(g)
-        layouts = optimal_trees(len(g.vertices), h_links, capital)
+        split = _split(g)
+        layouts = optimal_trees(len(g.vertices), split.h_links, split.phi)
         # a layout holds no tree: its tree is its basis, the signed H-edges, plus the completion
-        layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + list(completion))) for signed, _ in layouts]
+        layout_trees = [tuple(sorted([eid for eid, _, _ in signed] + list(split.completion)))
+                        for signed, _ in layouts]
         assert tuple(layout_trees) == tuple(trees[0] for trees in classes.values())
         # each layout splits the H-edges, as (id, u, v) links in id order, by its tree
         index = {vid: i for i, vid in enumerate(g.vertices)}
@@ -162,8 +163,8 @@ def test_optimal_trees_are_the_first_tree_of_each_h_basis():
             assert list(signed) == [link for link in h_edges if link[0] in tree]
             assert list(outside) == [link for link in h_edges if link[0] not in tree]
         # the premise of the one search budget: the assignment count bounds the layouts
-        assert len(layouts) <= 2 ** (len(h_edges) - capital) * 6**capital
-        assert len(layouts) <= math.comb(len(h_edges), capital)
+        assert len(layouts) <= 2 ** (len(h_edges) - split.phi) * 6**split.phi
+        assert len(layouts) <= math.comb(len(h_edges), split.phi)
         shared += any(len(trees) > 1 for trees in classes.values())
     assert shared >= 100  # many draws have several optimal trees per set of H-edges
 
@@ -190,10 +191,10 @@ def test_tree_enumeration_memory_does_not_grow_with_depth():
     # an H-cycle has one optimal tree per H-edge left out; beyond the layouts
     # it returns, the scan holds one union-find and one subset at a time
     g = _cycle(500, matrix=H)
-    h_links, *_, capital = _split(g)
+    split = _split(g)
     tracemalloc.start()
     try:
-        trees = optimal_trees(len(g.vertices), h_links, capital)
+        trees = optimal_trees(len(g.vertices), split.h_links, split.phi)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -207,12 +208,12 @@ def test_layout_memory_does_not_grow_with_the_non_h_part():
     kept, results = [], []
     for n in (1000, 4000):
         g = _cycle(n, extra=("h1", "h2"))
-        h_links, *_, capital = _split(g)
+        split = _split(g)
         # a first, untraced call keeps any one-time interpreter allocation out of the count
-        optimal_trees(n, h_links, capital)
+        optimal_trees(n, split.h_links, split.phi)
         tracemalloc.start()
         try:
-            layouts = optimal_trees(n, h_links, capital)
+            layouts = optimal_trees(n, split.h_links, split.phi)
             kept.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
