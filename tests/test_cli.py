@@ -110,10 +110,28 @@ def test_validate_prints_loop_note():
     assert lines[-1] == "ok"
 
 
-def test_validate_invalid():
-    result = run_cli("validate", str(FIXTURES / "invalid_h_pair.json"))
+@pytest.mark.parametrize("text, expected", [
+    pytest.param((FIXTURES / "invalid_h_pair.json").read_text(),
+                 "(ii)(a) e1: +-H gluing of two (2,1)(2,1) disk pieces with b = (0, 0)\n",
+                 id="invalid_h_pair"),
+    # an H-edge from v2 to v1 between two degree-1 (0,1,(2,1),(2,1),-1)
+    # pieces: exclusion (i) visits its ends source first
+    pytest.param(
+        json.dumps({
+            "vertices": [{"id": "v1", "g": 0, "fibres": [[2, 1], [2, 1]], "b": -1},
+                         {"id": "v2", "g": 0, "fibres": [[2, 1], [2, 1]], "b": -1}],
+            "edges": [{"id": "e1", "from": "v2", "to": "v1", "matrix": [[0, 1], [1, 0]]}],
+        }),
+        "(i) e1: +-H gluing touches vertex v2, a (0,1,(2,1),(2,1),-1) piece\n"
+        "(i) e1: +-H gluing touches vertex v1, a (0,1,(2,1),(2,1),-1) piece\n",
+        id="reversed_h"),
+])
+def test_validate_invalid(tmp_path, text, expected):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    result = run_cli("validate", str(path))
     assert result.returncode == 1
-    assert result.stdout.startswith("(ii)(a) e1:")
+    assert result.stdout == expected
 
 
 def test_validate_label_messages_pinned(tmp_path):

@@ -1,12 +1,14 @@
 """The production modules and the package root import no checking code: the
 flip search in farey and the brute-force oracles check the bound and are no
-part of it.  The CLI loads them only for its oracle commands."""
+part of it.  The CLI loads them only for its oracle commands.  Last, CI runs
+the suite on every supported Python, down to the floor in pyproject.toml."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -15,6 +17,7 @@ from pathlib import Path
 import gmbound
 
 PACKAGE = Path(gmbound.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _imports(module: str) -> set[str]:
@@ -76,3 +79,15 @@ def test_the_cli_loads_checking_code_only_for_oracle_commands():
     out = subprocess.run([sys.executable, "-c", probe, str(fixture)], capture_output=True, text=True, check=True,
                          env=env)
     assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}
+
+
+def test_ci_runs_the_suite_on_the_floor():
+    # by regex, since 3.10 has neither tomllib nor a YAML parser: the one
+    # matrix list holds the requires-python floor, and every setup-python
+    # step takes the matrix's version, so no job pins its own interpreter
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)[1]
+    values = re.findall(r"^\s*python-version:\s*(.*?)\s*$", (ROOT / ".github/workflows/tests.yml").read_text(), re.M)
+    matrices = [v for v in values if v.startswith("[")]
+    assert len(matrices) == 1
+    assert floor in re.findall(r'"([^"]*)"', matrices[0])
+    assert set(values) - set(matrices) == {"${{ matrix.python-version }}"}
