@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 import subprocess
-import sys
 import time
 from pathlib import Path
 
+from conftest import interpreter
 from gmbound.bounds import bound_general, bound_regular, bound_tree
 from gmbound.farey import complexity_by_search
 from gmbound.gl2 import H, cf_sum, is_normalized, is_plus_minus_h, normalize
@@ -256,7 +256,7 @@ def test_criterion_7_round_trip_and_determinism():
     runs = []
     for _ in range(2):
         result = subprocess.run(
-            [sys.executable, "-m", "gmbound", "bound", "--breakdown",
+            [*interpreter(), "-m", "gmbound", "bound", "--breakdown",
              str(FIXTURES / "parallel_h.json")],
             capture_output=True,
         )

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -23,6 +26,7 @@ from gmbound.bounds import (
 from gmbound.gl2 import is_plus_minus_h
 from gmbound.graph import graph_from_json, graph_to_json, normalize_all
 from gmbound.oracle import MinFResult, bruteforce_min_f
+from conftest import interpreter
 from sample_graphs import h_loops
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -83,17 +87,34 @@ def _report_text(report, breakdown: bool = False) -> str:
     return text
 
 
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # Pythons without the limit
+DIGIT_LIMIT = _digit_limit()  # the interpreter's own, which every command leaves in place
+
+
+def _environ(env_extra: dict[str, str] | None) -> dict[str, str]:
+    """A CLI run's environment: this one without MC_MAX_ASSIGNMENTS, plus env_extra."""
+    return {k: v for k, v in os.environ.items() if k != "MC_MAX_ASSIGNMENTS"} | (env_extra or {})
+
+
 def run_cli(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.pop("MC_MAX_ASSIGNMENTS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "gmbound", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """`gmbound *args` run by cli.main in this interpreter, in _environ(env_extra)
+    for the call alone.  It must leave the environment as it found it, and
+    the digit limit at DIGIT_LIMIT: a lifted limit would let huge_int parse."""
+    out, err, env = io.StringIO(), io.StringIO(), _environ(env_extra)
+    with mock.patch.dict(os.environ, env, clear=True), mock.patch.multiple(sys, stdout=out, stderr=err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        assert os.environ == env, args
+    assert _digit_limit() == DIGIT_LIMIT, args
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """`python -m gmbound *args` in a new interpreter, for what lives in the process."""
+    return subprocess.run([*interpreter(), "-m", "gmbound", *args], capture_output=True, text=True,
+                          env=_environ(env_extra))
 
 
 def test_validate_ok():
@@ -164,7 +185,7 @@ def test_validate_output_does_not_depend_on_hash_seed(tmp_path):
     }))
     outputs = set()
     for seed in range(8):
-        result = run_cli("validate", str(path), env_extra={"PYTHONHASHSEED": str(seed)})
+        result = run_process("validate", str(path), env_extra={"PYTHONHASHSEED": str(seed)})
         assert result.returncode == 1
         outputs.add(result.stdout)
     assert outputs == {
@@ -300,7 +321,7 @@ def test_commands_that_do_not_search_ignore_the_budget():
     assert run_cli("oracle", "phi", str(FIXTURES / "parallel_h.json"), env_extra=env).returncode == 0
 
 
-def test_oracle_minf_gives_both_sides_the_budget(monkeypatch, capsys):
+def test_oracle_minf_gives_both_sides_the_budget(monkeypatch):
     # a budget raised above the default must reach the exhaustive search too
     caps = []
 
@@ -309,12 +330,11 @@ def test_oracle_minf_gives_both_sides_the_budget(monkeypatch, capsys):
         return bruteforce_min_f(g, mode, assignment_cap=assignment_cap)
 
     monkeypatch.setattr("gmbound.oracle.bruteforce_min_f", exhaustive)
-    monkeypatch.setenv("MC_MAX_ASSIGNMENTS", str(10**7))
-    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS")
-    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
+    for env in ({"MC_MAX_ASSIGNMENTS": str(10**7)}, None):
+        result = run_cli("oracle", "minf", str(FIXTURES / "parallel_h.json"), env_extra=env)
+        assert result.returncode == 0
     assert caps == [10**7, DEFAULT_ASSIGNMENT_CAP]
-    assert "witnesses equal" in capsys.readouterr().out
+    assert "witnesses equal" in result.stdout
 
 
 def test_bound_deterministic_output():
@@ -369,12 +389,13 @@ def test_oracle_minf():
     assert "general bookkeeping" in result.stdout
 
 
-def test_oracle_minf_compares_witnesses(monkeypatch, capsys):
+def test_oracle_minf_compares_witnesses(monkeypatch):
     # same value as production, other witnesses: still a disagreement
     monkeypatch.setattr("gmbound.oracle.bruteforce_min_f",
                         lambda g, mode, assignment_cap: MinFResult(0, ("e2",), (("e2", "+"),), (("e1", "++"),)))
-    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 4
-    out = capsys.readouterr().out
+    result = run_cli("oracle", "minf", str(FIXTURES / "parallel_h.json"))
+    assert result.returncode == 4
+    out = result.stdout
     assert "DISAGREEMENT: production tree = ('e1',), exhaustive tree = ('e2',)" in out
     assert "production min" not in out
 
@@ -474,6 +495,16 @@ def test_oracle_minf_prints_every_digit(tmp_path):
     assert result.stdout == expected
 
 
+def test_the_digit_limit_comes_back_when_the_output_fails():
+    # _all_digits lifts the limit while a report is written; a stdout that
+    # fails inside must not leave it lifted for the rest of the process (the
+    # flag keeps MC_MAX_ASSIGNMENTS out of this direct call)
+    stdout = mock.Mock(write=mock.Mock(side_effect=OSError("stdout failed")))
+    with mock.patch.object(sys, "stdout", stdout), pytest.raises(OSError, match="stdout failed"):
+        cli.main(["bound", "--breakdown", "--max-assignments", "1", str(FIXTURES / "regular_pair.json")])
+    assert _digit_limit() == DIGIT_LIMIT
+
+
 def test_bound_reports_a_long_cap_count(tmp_path):
     path = tmp_path / "h_loops.json"
     path.write_text(graph_to_json(h_loops(5600)))
@@ -542,7 +573,7 @@ def test_readme_python_runs_as_written(tmp_path):
     (tmp_path / "graph.json").write_text((FIXTURES / "parallel_h.json").read_text())
     for block in blocks:
         code = block + "import sys\nprint('gmbound.oracle' in sys.modules)\n"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path)
+        result = subprocess.run([*interpreter(), "-c", code], capture_output=True, text=True, cwd=tmp_path)
         assert result.returncode == 0, block + result.stderr
         if block == library:
             assert result.stdout.startswith("general 12\n")
@@ -591,7 +622,7 @@ def test_batch_refusals_pinned(tmp_path):
 def test_unencodable_messages_print_as_escapes(tmp_path):
     path = tmp_path / "lone_surrogate.json"
     path.write_text(LONE_SURROGATE)
-    result = run_cli("validate", str(path), env_extra={"PYTHONIOENCODING": "utf-8"})
+    result = run_process("validate", str(path), env_extra={"PYTHONIOENCODING": "utf-8"})
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert result.stdout == "normalization \\ud800: matrix is not normalized\n"
@@ -603,7 +634,7 @@ def test_batch_prints_an_undecodable_file_name_as_an_escape(tmp_path):
             out.write((FIXTURES / "h_pair.json").read_bytes())
     except OSError:
         pytest.skip("the file system refuses a name that is not UTF-8")
-    result = run_cli("batch", str(tmp_path), env_extra={"PYTHONIOENCODING": "utf-8"})
+    result = run_process("batch", str(tmp_path), env_extra={"PYTHONIOENCODING": "utf-8"})
     assert result.returncode == 0, result.stderr
     assert result.stdout == "== \\udcff.json\n" + H_PAIR_BLOCK
 
@@ -615,16 +646,32 @@ def test_a_closed_stdout_ends_the_run_by_sigpipe(tmp_path):
     text = (FIXTURES / "h_pair.json").read_text()
     for i in range(1500):
         (tmp_path / f"h_pair_{i:04d}.json").write_text(text)
-    env = dict(os.environ)
-    env.pop("MC_MAX_ASSIGNMENTS", None)
-    with subprocess.Popen([sys.executable, "-m", "gmbound", "batch", str(tmp_path)],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env) as proc:
+    with subprocess.Popen([*interpreter(), "-m", "gmbound", "batch", str(tmp_path)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=_environ(None)) as proc:
         assert proc.stdout.readline() == b"== h_pair_0000.json\n"
         proc.stdout.close()
         stderr = proc.stderr.read()
     assert proc.returncode == -signal.SIGPIPE
     assert b"Traceback" not in stderr
 
+
+@pytest.mark.parametrize("args, code", [
+    ("bound --breakdown fixtures/parallel_h.json", 0),
+    ("validate fixtures/invalid_h_pair.json", 1),
+    ("bound open.json", 2),
+    ("bound --max-assignments 1 fixtures/h_pair.json", 3),
+    ("batch fixtures", 1),
+])
+def test_the_process_prints_and_exits_as_main_returns(monkeypatch, tmp_path, args, code):
+    # the one check that __main__ -> main_exit -> sys.exit carries what
+    # cli.main prints and returns, which every run_cli test reads instead
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    (tmp_path / "open.json").write_text("{")
+    monkeypatch.chdir(tmp_path)
+    process, in_process = run_process(*args.split()), run_cli(*args.split())
+    assert process.returncode == code
+    assert (process.returncode, process.stdout, process.stderr) == (
+        in_process.returncode, in_process.stdout, in_process.stderr)
 
 
 # every fixture under every --theorem label, with the labels that apply to
@@ -647,11 +694,10 @@ APPLIES = {
 
 @pytest.mark.parametrize("name, theorem", [
     (path.name, theorem) for path in sorted(FIXTURES.glob("*.json")) for theorem in EVALUATORS])
-def test_bound_under_each_label_prints_its_evaluator_report(monkeypatch, capsys, name, theorem):
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
+def test_bound_under_each_label_prints_its_evaluator_report(name, theorem):
     flags = ["--normalize-first"] if name == "non_normalized.json" else []
-    code = cli.main(["bound", "--theorem", theorem, "--breakdown", *flags, str(FIXTURES / name)])
-    out, err = capsys.readouterr()
+    result = run_cli("bound", "--theorem", theorem, "--breakdown", *flags, str(FIXTURES / name))
+    code, out, err = result.returncode, result.stdout, result.stderr
     if name == "invalid_h_pair.json":
         assert (code, out) == (1, "")
         assert err.startswith("(ii)(a) e1:")
@@ -673,29 +719,27 @@ def test_bound_under_each_label_prints_its_evaluator_report(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("theorem", ["tree", "general"])
-def test_an_explicit_label_keeps_the_budget(monkeypatch, capsys, theorem):
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
-    code = cli.main(["bound", "--theorem", theorem, "--max-assignments", "1", str(FIXTURES / "h_pair.json")])
-    assert code == 3
-    assert capsys.readouterr() == ("", "cap exceeded: assignment search needs 2 > cap 1 assignments\n")
+def test_an_explicit_label_keeps_the_budget(theorem):
+    result = run_cli("bound", "--theorem", theorem, "--max-assignments", "1", str(FIXTURES / "h_pair.json"))
+    assert result.returncode == 3
+    assert (result.stdout, result.stderr) == ("", "cap exceeded: assignment search needs 2 > cap 1 assignments\n")
 
 
-def test_the_regular_label_searches_nothing_so_ignores_the_budget(monkeypatch, capsys):
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
-    code = cli.main(["bound", "--theorem", "regular", "--max-assignments", "0", str(FIXTURES / "regular_pair.json")])
-    assert code == 0
-    assert capsys.readouterr() == ("theorem: regular\nbound: 8\n", "")
+def test_the_regular_label_searches_nothing_so_ignores_the_budget():
+    result = run_cli("bound", "--theorem", "regular", "--max-assignments", "0", str(FIXTURES / "regular_pair.json"))
+    assert result.returncode == 0
+    assert (result.stdout, result.stderr) == ("theorem: regular\nbound: 8\n", "")
 
 
 @pytest.mark.parametrize("name", sorted(set(APPLIES) - {"non_normalized.json"}))
-def test_oracle_minf_agrees_on_every_valid_fixture(monkeypatch, capsys, name):
+def test_oracle_minf_agrees_on_every_valid_fixture(name):
     # regular_pair and single_loop run tree bookkeeping on a graph without H-edges
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
-    assert cli.main(["oracle", "minf", str(FIXTURES / name)]) == 0
-    assert "witnesses equal" in capsys.readouterr().out
+    result = run_cli("oracle", "minf", str(FIXTURES / name))
+    assert result.returncode == 0
+    assert "witnesses equal" in result.stdout
 
 
-def test_oracle_minf_gives_the_production_side_the_budget(monkeypatch, capsys):
+def test_oracle_minf_gives_the_production_side_the_budget(monkeypatch):
     # a graph that only a cap above the default admits takes the exhaustive
     # side over a million labelings, so a recorder shows the cap instead
     caps = []
@@ -705,17 +749,16 @@ def test_oracle_minf_gives_the_production_side_the_budget(monkeypatch, capsys):
         return bounds._bound(g, theorem, assignment_cap)
 
     monkeypatch.setattr(cli, "_bound", production)
-    monkeypatch.setenv("MC_MAX_ASSIGNMENTS", str(10**7))
-    assert cli.main(["oracle", "minf", str(FIXTURES / "parallel_h.json")]) == 0
+    result = run_cli("oracle", "minf", str(FIXTURES / "parallel_h.json"), env_extra={"MC_MAX_ASSIGNMENTS": str(10**7)})
+    assert result.returncode == 0
     assert caps == [10**7]
-    assert "witnesses equal" in capsys.readouterr().out
+    assert "witnesses equal" in result.stdout
 
 
-def test_every_command_classifies_each_edge_once(monkeypatch, capsys, tmp_path):
+def test_every_command_classifies_each_edge_once(monkeypatch, tmp_path):
     # a graph keeps its graph._split, so validate, the bound and oracle
     # phi's and minf's Phi all read one classification of each edge; batch
     # splits each file's graph once
-    monkeypatch.delenv("MC_MAX_ASSIGNMENTS", raising=False)
     one = FIXTURES / "parallel_h.json"
     pair = [FIXTURES / "h_pair.json", one]
     for path in pair:
@@ -739,6 +782,5 @@ def test_every_command_classifies_each_edge_once(monkeypatch, capsys, tmp_path):
     for args, read in runs:
         edges = sum([len(graph_from_json(path.read_text()).edges) for path in read])
         calls.clear()
-        assert cli.main(args) == 0, args
+        assert run_cli(*args).returncode == 0, args
         assert len(calls) == edges, args
-    capsys.readouterr()

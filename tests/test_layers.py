@@ -10,11 +10,11 @@ import json
 import os
 import re
 import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
 import gmbound
+from conftest import interpreter
 
 PACKAGE = Path(gmbound.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +54,7 @@ def test_the_package_root_loads_and_exports_only_its_api():
         }))
     """)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([*interpreter(), "-c", probe], capture_output=True, text=True, check=True, env=env)
     found = json.loads(out.stdout)
     assert found["loaded"] == []
     assert found["exported"] == found["all"]
@@ -76,7 +76,7 @@ def test_the_cli_loads_checking_code_only_for_oracle_commands():
     """)
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     fixture = Path(__file__).parent / "fixtures" / "parallel_h.json"
-    out = subprocess.run([sys.executable, "-c", probe, str(fixture)], capture_output=True, text=True, check=True,
+    out = subprocess.run([*interpreter(), "-c", probe, str(fixture)], capture_output=True, text=True, check=True,
                          env=env)
     assert json.loads(out.stdout) == {"codes": [0, 0], "loaded": []}
 
