@@ -3,12 +3,18 @@ test suite.
 
 The reference helpers are plain, separate code that the tests check the
 package against: matrix products, one-edge normalization, phi of one tree,
-and the rewrites that change how a manifold is written down but not the
-manifold itself.
+a report replayed from its witness, and the rewrites that change how a
+manifold is written down but not the manifold itself.
+
+Two seeded corpora are shared, each drawn here alone: criterion4_pool(),
+the 1000 graphs of seed 20260401 behind criteria 4 and 6 and the pinned
+report bytes, and presentation_sweep(rng), the 500 large graphs that three
+test_bounds.py tests draw from a random.Random(20261018) of their own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import replace
@@ -22,8 +28,10 @@ from gmbound import (
     handle_count,
     is_valid,
 )
-from gmbound.gl2 import H, is_plus_minus_h, normalize
+from gmbound.bounds import BoundReport, VertexTerms
+from gmbound.gl2 import H, cf_sum, is_plus_minus_h, matrix_complexity, normalize
 from gmbound.graph import EdgeMove, _split, normalize_all
+from gmbound.oracle import _add_six_valued, _sign_extras, _spans, _window_penalty_sum, f
 from gmbound.spanning import optimal_trees
 
 # ---------------------------------------------------------------------------
@@ -89,6 +97,74 @@ def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
         raise ValueError("graph has no spanning tree (disconnected)")
     return tuple([tuple(sorted([eid for eid, _, _ in signed] + list(split.completion)))
                   for signed, _ in optimal_trees(len(g.vertices), split.h_links, split.phi)])
+
+
+def replay(g: DecompositionGraph, report: BoundReport) -> None:
+    """Check a report against its own witness, replayed with the oracle's
+    bookkeeping: degrees from the raw edges, the H-rank from a plain
+    traversal of the H-edges, nothing from graph._split or the search."""
+    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
+    h_ids = [e.id for e in h_edges]
+    psi, psi_prime = report.witness_psi or (), report.witness_psi_prime or ()
+    signs, six = dict(psi), dict(psi_prime)
+    # the labels cover exactly the H-edges, once each, in id order
+    assert sorted([eid for eid, _ in psi + psi_prime]) == h_ids
+    assert [eid for eid, _ in psi] == [eid for eid in h_ids if eid in signs]
+    assert [eid for eid, _ in psi_prime] == [eid for eid in h_ids if eid in six]
+    assert set(signs.values()) <= {"+", "-"}
+    assert set(six.values()) <= {"++", "+", "+-", "-+", "-", "--"}
+    assert (report.witness_psi is None) == (report.theorem == "regular") == (not h_edges)
+    neighbours = {vid: [] for vid in g.vertices}
+    for e in h_edges:
+        neighbours[e.src].append(e.dst)
+        neighbours[e.dst].append(e.src)
+    seen, components = set(), 0
+    for start in g.vertices:
+        if start not in seen:
+            components += 1
+            seen.add(start)
+            todo = [start]
+            while todo:
+                for nxt in neighbours[todo.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+    assert report.phi_term == len(psi_prime) == len(h_edges) - (len(g.vertices) - components)
+    if report.theorem == "general":
+        inside = set(report.witness_tree)
+        tree = [e for e in g.edges if e.id in inside]
+        assert len(tree) == len(report.witness_tree) == len(g.vertices) - 1
+        assert _spans(list(g.vertices), tree)
+        assert [eid for eid in h_ids if eid in inside] == [eid for eid, _ in psi]
+        assert len([eid for eid in h_ids if eid not in inside]) == report.phi_term
+    else:
+        assert report.witness_tree is None and report.witness_psi_prime is None
+
+    plus, minus = _sign_extras([e for e in h_edges if e.id in signs], [label for _, label in psi])
+    for e in h_edges:
+        if e.id in six:
+            _add_six_valued(plus, minus, e, six[e.id])
+    # every vertex's degrees in one pass over the raw edges
+    d_plus, d_minus, d = (dict.fromkeys(g.vertices, 0) for _ in range(3))
+    for e in g.edges:
+        d[e.src] += 1
+        d[e.dst] += 1
+        if not is_plus_minus_h(e.matrix):
+            d_plus[e.src] += 1
+            d_minus[e.dst] += 1
+    vertex_terms = []
+    for vid, s in g.vertices.items():
+        r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
+        penalty = f(1 - r - h - d_minus[vid] - minus.get(vid, 0), h + d_plus[vid] + plus.get(vid, 0) - 1, s.b)
+        vertex_terms.append((vid, VertexTerms(3 * (d[vid] + r + 2 * h - 2),
+                                              sum([cf_sum(p, q) - 2 for p, q in s.fibres]), penalty)))
+    assert report.vertex_terms == tuple(vertex_terms)
+    assert report.min_penalty == sum([t.penalty for _, t in vertex_terms]) == _window_penalty_sum(g, plus, minus)
+    assert report.edge_terms == tuple([(e.id, matrix_complexity(e.matrix))
+                                       for e in g.edges if not is_plus_minus_h(e.matrix)])
+    assert report.cycle_term == 5 * (len(g.edges) - len(g.vertices) + 1)
+    assert report.total == (report.cycle_term + report.phi_term + sum([v for _, v in report.edge_terms])
+                            + sum([t.total for _, t in vertex_terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +507,33 @@ def random_penalized_graph(rng: random.Random, n: int, forest: int, closing: int
         if is_valid(g):
             return g
     raise RuntimeError("failed to draw a valid penalized graph")
+
+
+# ---------------------------------------------------------------------------
+# shared seeded corpora
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def criterion4_pool() -> tuple[DecompositionGraph, ...]:
+    """The 1000 valid graphs of seed 20260401, up to 5 pieces and 7 edges,
+    drawn once per session.  A graph keeps its split once one is made, so a
+    test that counts is_plus_minus_h calls must bound fresh graphs or
+    replace() copies, not these."""
+    rng = random.Random(20260401)
+    return tuple(random_valid_graph(rng, max_vertices=5, max_edges=7, p_max=7, b_max=4, h_probability=0.4)
+                 for _ in range(1000))
+
+
+def presentation_sweep(rng: random.Random) -> list[DecompositionGraph]:
+    """500 valid graphs past the oracles' reach, drawn from rng: 300
+    penalized graphs of 15 to 40 pieces, with Phi from 0 to 2 and up to 18
+    H-edges, then 50 graphs of each H-edge shape."""
+    graphs = []
+    for _ in range(300):
+        closing = rng.randint(0, 2)
+        n = rng.randint(15, 40)
+        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
+    for shape in ("components", "star", "parallel", "loops"):
+        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
+    return graphs

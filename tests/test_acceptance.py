@@ -23,12 +23,14 @@ from gmbound.oracle import bruteforce_min_f, bruteforce_phi, verify_lemma
 from gmbound.seifert import handle_count
 from gmbound.spanning import capital_phi
 from sample_graphs import (
+    compose,
+    criterion4_pool,
     h_pair,
     optimal_tree_ids,
     parallel_h,
+    power_u,
     random_det_minus_one_matrix,
     random_multigraph,
-    random_valid_graph,
     regular_pair,
     regular_pair_shifted,
     single_loop,
@@ -46,22 +48,6 @@ FROZEN = (
     (lambda: h_pair(0, 0), 6),
 )
 
-_CRITERION4_INSTANCES: list | None = None
-
-
-def _criterion4_instances() -> list:
-    """The shared instance pool for criteria 4 and 6 (same seed either way)."""
-    global _CRITERION4_INSTANCES
-    if _CRITERION4_INSTANCES is None:
-        rng = random.Random(20260401)
-        _CRITERION4_INSTANCES = [
-            random_valid_graph(rng, max_vertices=5, max_edges=7, p_max=7, b_max=4,
-                               h_probability=0.4)
-            for _ in range(1000)
-        ]
-    return _CRITERION4_INSTANCES
-
-
 def test_criterion_1_lemma_formula_exact():
     started = time.monotonic()
     report = verify_lemma(30)
@@ -78,8 +64,9 @@ def test_criterion_2_normalization_properties():
     rng = random.Random(20260402)
     for _ in range(10_000):
         m = random_det_minus_one_matrix(rng)
-        out, _, _ = normalize(m)
-        assert is_normalized(out)
+        out, k, h = normalize(m)
+        assert compose(power_u(h), compose(m, power_u(k))) == out
+        assert is_normalized(out) and is_normalized(-out)
         assert out.beta == m.beta
         assert out.beta * out.gamma > 0
         if abs(out.beta) == 1:
@@ -89,7 +76,7 @@ def test_criterion_2_normalization_properties():
         again, k, h = normalize(out)
         assert again == out and k == 0 and h == 0
     print("criterion 2 PASS: 10000 random matrices, all three sign properties,"
-          " idempotence, beta preserved")
+          " idempotence, beta preserved, U^h * m * U^k = output")
 
 
 def test_criterion_3_phi_oracle_equivalence():
@@ -109,7 +96,7 @@ def test_criterion_3_phi_oracle_equivalence():
 
 def test_criterion_4_theorem_specialization():
     tree_checked = regular_checked = 0
-    for g in _criterion4_instances():
+    for g in criterion4_pool():
         general = bound_general(g)
         if capital_phi(g) == 0:
             tree = bound_tree(g)
@@ -120,9 +107,9 @@ def test_criterion_4_theorem_specialization():
                 regular = bound_regular(g)
                 assert regular.total == tree.total == general.total
                 regular_checked += 1
-    assert len(_criterion4_instances()) >= 1000
+    assert len(criterion4_pool()) >= 1000
     assert tree_checked > 0 and regular_checked > 0
-    print(f"criterion 4 PASS: {len(_criterion4_instances())} valid graphs;"
+    print(f"criterion 4 PASS: {len(criterion4_pool())} valid graphs;"
           f" general = tree on {tree_checked}, all three equal on {regular_checked}")
 
 
@@ -219,7 +206,7 @@ def test_criterion_6_labeling_domain_invariant():
     total_violations = 0
     total_visited = 0
     identity_checked = 0
-    for g in _criterion4_instances():
+    for g in criterion4_pool():
         violations, visited = _visit_windows(g)
         total_violations += violations
         total_visited += visited

@@ -12,16 +12,14 @@ import pytest
 
 import gmbound
 from gmbound.bounds import (
-    BoundReport,
     CapExceeded,
     TheoremInapplicable,
-    VertexTerms,
     best_bound,
     bound_general,
     bound_regular,
     bound_tree,
 )
-from gmbound.gl2 import H, Gl2Matrix, cf_sum, is_plus_minus_h, matrix_complexity
+from gmbound.gl2 import H, Gl2Matrix, is_plus_minus_h
 from gmbound.graph import (
     DecompositionGraph,
     Edge,
@@ -35,23 +33,24 @@ from gmbound.graph import (
     normalize_all,
     validate,
 )
-from gmbound.oracle import _add_six_valued, _sign_extras, _spans, _window_penalty_sum, bruteforce_min_f, f
+from gmbound.oracle import bruteforce_min_f, f
 from gmbound.spanning import capital_phi, optimal_trees
 from sample_graphs import (
     compose,
     connectivity_sweep,
+    criterion4_pool,
     h_loops,
     h_pair,
     mirror,
     negate_half,
     parallel_h,
     power_u,
-    random_penalized_graph,
-    random_shaped_graph,
+    presentation_sweep,
     random_valid_graph,
     regular_pair,
     regular_pair_shifted,
     rename_ids,
+    replay,
     reverse_half,
     single_loop,
 )
@@ -149,19 +148,9 @@ def test_disjoint_h_edges_are_searched_fast():
 # ---------------------------------------------------------------------------
 
 
-def _check_sums(report: BoundReport) -> None:
-    total = (
-        report.cycle_term
-        + report.phi_term
-        + sum(v for _, v in report.edge_terms)
-        + sum(t.total for _, t in report.vertex_terms)
-    )
-    assert report.total == total
-    assert report.min_penalty == sum(t.penalty for _, t in report.vertex_terms)
-
-
 def test_regular_pair():
-    report = bound_regular(regular_pair())
+    g = regular_pair()
+    report = bound_regular(g)
     assert report.total == REGULAR_PAIR_BOUND
     assert report.theorem == "regular"
     assert report.cycle_term == 0 and report.phi_term == 0
@@ -169,24 +158,26 @@ def test_regular_pair():
     assert dict(report.vertex_terms)["v1"].penalty == 0
     assert dict(report.vertex_terms)["v2"].penalty == 1
     assert report.witness_tree is None and report.witness_psi is None
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_regular_pair_shifted():
     # the evaluator itself accepts any structurally sound graph, even one
     # that validation would reject as an excluded small pairing
-    report = bound_regular(regular_pair_shifted())
+    g = regular_pair_shifted()
+    report = bound_regular(g)
     assert report.total == REGULAR_PAIR_SHIFTED_BOUND
     assert report.min_penalty == 0
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_single_loop():
-    report = bound_regular(single_loop())
+    g = single_loop()
+    report = bound_regular(g)
     assert report.total == SINGLE_LOOP_BOUND
     assert report.cycle_term == 5
     assert report.edge_terms == (("e1", 1),)
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_regular_rejects_mirror_edges():
@@ -195,20 +186,22 @@ def test_regular_rejects_mirror_edges():
 
 
 def test_h_pair():
-    report = bound_tree(h_pair())
+    g = h_pair()
+    report = bound_tree(g)
     assert report.total == H_PAIR_BOUND
     assert report.min_penalty == 1
     assert report.witness_psi == (("e1", "+"),)
     assert report.witness_tree is None and report.witness_psi_prime is None
     assert report.edge_terms == ()
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_h_pair_excluded_labels():
-    report = bound_tree(h_pair(0, 0))
+    g = h_pair(0, 0)
+    report = bound_tree(g)
     assert report.total == H_PAIR_EXCLUDED_BOUND
     assert report.min_penalty == 0
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_tree_rejects_leftover_mirror_edges():
@@ -217,14 +210,15 @@ def test_tree_rejects_leftover_mirror_edges():
 
 
 def test_parallel_h():
-    report = bound_general(parallel_h())
+    g = parallel_h()
+    report = bound_general(g)
     assert report.total == PARALLEL_H_BOUND
     assert report.phi_term == 1
     assert report.witness_tree == ("e1",)
     assert report.witness_psi == (("e1", "+"),)
     assert report.witness_psi_prime == (("e2", "++"),)
     assert report.min_penalty == 0
-    _check_sums(report)
+    replay(g, report)
 
 
 def test_best_bound_dispatch():
@@ -354,25 +348,8 @@ def test_cap_message_outgrows_no_digit_limit():
 
 
 # ---------------------------------------------------------------------------
-# agreement between the evaluators on their common ground
+# invariance under rewrites, witnesses and pinned bytes
 # ---------------------------------------------------------------------------
-
-
-def test_general_specializes_to_tree_and_regular():
-    rng = random.Random(31)
-    seen_tree = seen_regular = 0
-    for _ in range(60):
-        g = random_valid_graph(rng, max_edges=5)
-        general = bound_general(g)
-        if capital_phi(g) == 0:
-            seen_tree += 1
-            tree = bound_tree(g)
-            assert general.total == tree.total
-            assert general.min_penalty == tree.min_penalty
-        if not any(v.d_zero for v in _stats(g).values()):
-            seen_regular += 1
-            assert bound_regular(g).total == general.total
-    assert seen_tree > 0 and seen_regular > 0
 
 
 def test_bound_invariant_under_normalization_moves():
@@ -402,13 +379,7 @@ def test_bound_invariant_under_presentation():
     # pieces and 18 H-edges, past the oracles' reach, where renaming changes
     # the order in which the search meets the edges
     rng = random.Random(20261018)
-    graphs = []
-    for _ in range(300):
-        closing = rng.randint(0, 2)
-        n = rng.randint(15, 40)
-        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
-    for shape in ("components", "star", "parallel", "loops"):
-        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
+    graphs = presentation_sweep(rng)
     start = time.perf_counter()
     for g in graphs:
         reference = best_bound(g)
@@ -428,15 +399,7 @@ def test_bound_invariant_under_orientation_reversal():
     # and witnesses may move between vertices of equal sum, so they are not
     # compared.  Unlike the oracle sweeps, this catches d+ and d- swapped in
     # the windows of both the bounds and the oracle
-    rng = random.Random(20261018)
-    graphs = []
-    for _ in range(300):
-        closing = rng.randint(0, 2)
-        n = rng.randint(15, 40)
-        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
-    for shape in ("components", "star", "parallel", "loops"):
-        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
-    for g in graphs:
+    for g in presentation_sweep(random.Random(20261018)):
         mirrored = mirror(g)
         assert is_valid(mirrored)
         assert mirror(mirrored) == g
@@ -445,92 +408,16 @@ def test_bound_invariant_under_orientation_reversal():
                 == (reference.theorem, reference.total, reference.phi_term, reference.min_penalty))
 
 
-def _replay(g: DecompositionGraph, report: BoundReport) -> None:
-    """Check a report against its own witness, replayed with the oracle's
-    bookkeeping: degrees from the raw edges, the H-rank from a plain
-    traversal of the H-edges, nothing from graph._split or the search."""
-    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
-    h_ids = [e.id for e in h_edges]
-    psi, psi_prime = report.witness_psi or (), report.witness_psi_prime or ()
-    signs, six = dict(psi), dict(psi_prime)
-    # the labels cover exactly the H-edges, once each, in id order
-    assert sorted([eid for eid, _ in psi + psi_prime]) == h_ids
-    assert [eid for eid, _ in psi] == [eid for eid in h_ids if eid in signs]
-    assert [eid for eid, _ in psi_prime] == [eid for eid in h_ids if eid in six]
-    assert set(signs.values()) <= {"+", "-"}
-    assert set(six.values()) <= {"++", "+", "+-", "-+", "-", "--"}
-    assert (report.witness_psi is None) == (report.theorem == "regular") == (not h_edges)
-    neighbours = {vid: [] for vid in g.vertices}
-    for e in h_edges:
-        neighbours[e.src].append(e.dst)
-        neighbours[e.dst].append(e.src)
-    seen, components = set(), 0
-    for start in g.vertices:
-        if start not in seen:
-            components += 1
-            seen.add(start)
-            todo = [start]
-            while todo:
-                for nxt in neighbours[todo.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-    assert report.phi_term == len(psi_prime) == len(h_edges) - (len(g.vertices) - components)
-    if report.theorem == "general":
-        inside = set(report.witness_tree)
-        tree = [e for e in g.edges if e.id in inside]
-        assert len(tree) == len(report.witness_tree) == len(g.vertices) - 1
-        assert _spans(list(g.vertices), tree)
-        assert [eid for eid in h_ids if eid in inside] == [eid for eid, _ in psi]
-        assert len([eid for eid in h_ids if eid not in inside]) == report.phi_term
-    else:
-        assert report.witness_tree is None and report.witness_psi_prime is None
-
-    plus, minus = _sign_extras([e for e in h_edges if e.id in signs], [label for _, label in psi])
-    for e in h_edges:
-        if e.id in six:
-            _add_six_valued(plus, minus, e, six[e.id])
-    # every vertex's degrees in one pass over the raw edges
-    d_plus, d_minus, d = (dict.fromkeys(g.vertices, 0) for _ in range(3))
-    for e in g.edges:
-        d[e.src] += 1
-        d[e.dst] += 1
-        if not is_plus_minus_h(e.matrix):
-            d_plus[e.src] += 1
-            d_minus[e.dst] += 1
-    vertex_terms = []
-    for vid, s in g.vertices.items():
-        r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
-        penalty = f(1 - r - h - d_minus[vid] - minus.get(vid, 0), h + d_plus[vid] + plus.get(vid, 0) - 1, s.b)
-        vertex_terms.append((vid, VertexTerms(3 * (d[vid] + r + 2 * h - 2),
-                                              sum([cf_sum(p, q) - 2 for p, q in s.fibres]), penalty)))
-    assert report.vertex_terms == tuple(vertex_terms)
-    assert report.min_penalty == sum([t.penalty for _, t in vertex_terms]) == _window_penalty_sum(g, plus, minus)
-    assert report.edge_terms == tuple([(e.id, matrix_complexity(e.matrix))
-                                       for e in g.edges if not is_plus_minus_h(e.matrix)])
-    assert report.cycle_term == 5 * (len(g.edges) - len(g.vertices) + 1)
-    assert report.total == (report.cycle_term + report.phi_term + sum([v for _, v in report.edge_terms])
-                            + sum([t.total for _, t in vertex_terms]))
-
-
 def test_every_witness_replays_on_the_presentation_sweep():
     # the witness of each report on the presentation sweep's graphs (same
     # seed, same draws), up to 40 pieces and past the oracles' reach, gives
     # back its every term when replayed; this shows each total is the
     # formula's value at a witness, not that it is the least one
-    rng = random.Random(20261018)
-    graphs = []
-    for _ in range(300):
-        closing = rng.randint(0, 2)
-        n = rng.randint(15, 40)
-        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
-    for shape in ("components", "star", "parallel", "loops"):
-        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
     theorems = set()
-    for g in graphs:
+    for g in presentation_sweep(random.Random(20261018)):
         report = best_bound(g)
         theorems.add(report.theorem)
-        _replay(g, report)
+        replay(g, report)
     assert theorems == {"regular", "tree", "general"}
 
 
@@ -562,15 +449,9 @@ def test_one_bound_classifies_each_edge_once(monkeypatch):
 
 
 def test_report_bytes_pinned():
-    rng = random.Random(20260401)
-    graphs = [
-        random_valid_graph(rng, max_vertices=5, max_edges=7, p_max=7, b_max=4, h_probability=0.4)
-        for _ in range(1000)
-    ]
-    graphs += [normalize_all(graph_from_json(path.read_text()))[0]
-               for path in sorted(FIXTURES.glob("*.json"))]
+    fixtures = [normalize_all(graph_from_json(path.read_text()))[0] for path in sorted(FIXTURES.glob("*.json"))]
     digest = hashlib.sha256()
-    for g in graphs:
+    for g in [*criterion4_pool(), *fixtures]:
         for evaluate in (best_bound, bound_general):
             digest.update(json.dumps(evaluate(g).to_json_dict(), indent=2).encode() + b"\n")
     assert digest.hexdigest() == REPORT_DIGEST

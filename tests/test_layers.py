@@ -1,7 +1,8 @@
 """The production modules and the package root import no checking code: the
 flip search in farey and the brute-force oracles check the bound and are no
-part of it.  The CLI loads them only for its oracle commands.  Last, CI runs
-the suite on every supported Python, down to the floor in pyproject.toml."""
+part of it.  The CLI loads them only for its oracle commands.  No test
+module imports another.  Last, CI runs the suite on every supported Python,
+down to the floor in pyproject.toml."""
 
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ PACKAGE = Path(gmbound.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _imports(module: str) -> set[str]:
+def _imports(path: Path) -> set[str]:
     """Absolute names of the modules, and of the names in them, that a
-    module of the package imports."""
+    module of the package, or of the tests, imports."""
     names = set()
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -36,8 +37,15 @@ def _imports(module: str) -> set[str]:
 
 def test_production_modules_import_no_checking_code():
     checking = {"gmbound.farey", "gmbound.oracle"}
-    found = {module: sorted(_imports(module) & checking)
+    found = {module: sorted(_imports(PACKAGE / f"{module}.py") & checking)
              for module in ("__init__", "gl2", "seifert", "graph", "spanning", "bounds")}
+    assert found == dict.fromkeys(found, [])
+
+
+def test_no_test_module_imports_another():
+    # what tests share lives in sample_graphs.py and conftest.py
+    found = {path.name: sorted(name for name in _imports(path) if name.startswith("test_"))
+             for path in sorted(Path(__file__).parent.glob("*.py"))}
     assert found == dict.fromkeys(found, [])
 
 

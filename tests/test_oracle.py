@@ -90,20 +90,23 @@ def test_oracle_cap_messages_outgrow_no_digit_limit():
     assert str(info.value) == "subset enumeration needs a 4333-digit number > cap 1000000 candidate sets"
 
 
+def _agrees_with_the_oracle(g):
+    """The oracle's least penalty sum and first minimizer for g, in the mode
+    that Phi picks, after checking that the bound finds the same value, tree,
+    psi and psi'."""
+    bound, mode = (bound_general, "general") if capital_phi(g) else (bound_tree, "tree")
+    production, result = bound(g), bruteforce_min_f(g, mode)
+    assert result.value == production.min_penalty
+    assert result.tree == production.witness_tree
+    assert result.psi == production.witness_psi
+    assert result.psi_prime == (production.witness_psi_prime or ())
+    return result
+
+
 def test_min_f_matches_production_sweep():
     rng = random.Random(59)
     for _ in range(1000):
-        g = random_valid_graph(rng, max_edges=5)
-        if capital_phi(g) == 0:
-            production = bound_tree(g)
-            result = bruteforce_min_f(g, "tree")
-        else:
-            production = bound_general(g)
-            result = bruteforce_min_f(g, "general")
-        assert result.value == production.min_penalty
-        assert result.tree == production.witness_tree
-        assert result.psi == production.witness_psi
-        assert result.psi_prime == (production.witness_psi_prime or ())
+        _agrees_with_the_oracle(random_valid_graph(rng, max_edges=5))
 
 
 @pytest.mark.parametrize("shape, seed", [("components", 61), ("star", 62), ("parallel", 63), ("loops", 64)])
@@ -113,21 +116,13 @@ def test_min_f_matches_production_on_h_shapes(shape, seed):
     general = shared = 0
     for _ in range(100):
         g = random_shaped_graph(rng, shape)
+        _agrees_with_the_oracle(g)
         target = capital_phi(g)
-        if target == 0:
-            production = bound_tree(g)
-            result = bruteforce_min_f(g, "tree")
-        else:
+        if target:
             general += 1
-            production = bound_general(g)
-            result = bruteforce_min_f(g, "general")
             optimal = sum(1 for t in _all_spanning_trees(g)
                           if phi(g, tuple(e.id for e in t)) == target)
             shared += optimal > len(optimal_tree_ids(g))
-        assert result.value == production.min_penalty
-        assert result.tree == production.witness_tree
-        assert result.psi == production.witness_psi
-        assert result.psi_prime == (production.witness_psi_prime or ())
     assert general >= 40 and shared >= 5
 
 
@@ -153,18 +148,9 @@ def test_min_f_matches_production_where_the_search_prunes():
     for n, forest, closing in cases:
         g = random_penalized_graph(rng, n, forest, closing)
         assert capital_phi(g) == closing
-        if closing:
-            production = bound_general(g)
-            result = bruteforce_min_f(g, "general")
-        else:
-            production = bound_tree(g)
-            result = bruteforce_min_f(g, "tree")
-            if forest == 6:
-                tied += _sign_minimizers(g, result.value) > 1
-        assert result.value == production.min_penalty
-        assert result.tree == production.witness_tree
-        assert result.psi == production.witness_psi
-        assert result.psi_prime == (production.witness_psi_prime or ())
+        result = _agrees_with_the_oracle(g)
+        if not closing and forest == 6:
+            tied += _sign_minimizers(g, result.value) > 1
         positive += result.value >= 2
     assert 3 * positive >= len(cases)
     assert tied >= 10  # the first of several minimizers is the witness
@@ -184,9 +170,3 @@ def test_lemma_report_flags_failures():
     assert not LemmaReport(5, 1, True, (bad,)).ok
     assert not LemmaReport(5, 1, False, ()).ok
     assert LemmaReport(5, 1, True, ()).ok
-
-
-def test_verify_lemma_direct_distance_column():
-    # the report only exists when formula, search and the single direct
-    # distance all agree, so a passing run pins all three routes at once
-    assert verify_lemma(12).ok
