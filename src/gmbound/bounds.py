@@ -297,7 +297,8 @@ def _search(layouts, short, over):
 
 def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEFAULT_ASSIGNMENT_CAP) -> BoundReport:
     """The evaluator behind all three theorems; None picks the most
-    specific one that applies, any other label is checked to apply.
+    specific one that applies, "regular", "tree" and "general" are each
+    checked to apply, and any other label is refused with a ValueError.
 
     The checks come in a fixed order: the theorem label, the assignment
     cap, then connectivity (a None completion from graph._split, refused
@@ -306,6 +307,8 @@ def _bound(g: DecompositionGraph, theorem: str | None, assignment_cap: int = DEF
     The only place a tree is built: in general mode, the witness tree is
     psi's H-edges, the winning basis, plus the split's completion, sorted.
     Regular and tree mode report None and build none."""
+    if theorem not in (None, "regular", "tree", "general"):
+        raise ValueError(f"unknown theorem {theorem!r}: the labels are 'regular', 'tree' and 'general'")
     split = _split(g)
     if theorem is None:
         theorem = "general" if split.phi else "tree" if split.h_links else "regular"

@@ -139,13 +139,6 @@ def degree_stats(g: DecompositionGraph) -> dict[str, DegreeStats]:
 # ---------------------------------------------------------------------------
 
 
-def _links(g: DecompositionGraph) -> list[tuple[str, int, int]]:
-    """(id, source index, target index) of every edge, in id order; an index
-    is the vertex's position in g.vertices.  Callers filter the result."""
-    index = {vid: i for i, vid in enumerate(g.vertices)}
-    return [(e.id, index[e.src], index[e.dst]) for e in g.edges]
-
-
 @dataclass(frozen=True, slots=True)
 class Split:
     """Each edge of a graph classified once; _split tells what each field is."""
@@ -168,8 +161,8 @@ def _split(g: DecompositionGraph) -> Split:
     cannot be indexed or unpacked, and none of its readers depends on field
     order):
 
-      h_links     the H-edges (matrix +-H) as (id, u, v) links of _links(g),
-                  in id order; u and v index g.vertices;
+      h_links     the H-edges (matrix +-H) as (id, u, v) links, in id order;
+                  u and v are the positions of the ends in g.vertices;
       rest        the other edges, in id order;
       plus, minus, zero
                   per vertex index, the non-H out-ends, the non-H in-ends
@@ -180,15 +173,17 @@ def _split(g: DecompositionGraph) -> Split:
                   disconnected or has no vertices;
       phi         Phi(G), the fewest H-edges any spanning tree leaves out.
 
-    One union-find is grown, in two passes.  The first takes h_links
+    One walk over g.edges indexes each edge's ends and classifies it.  Then
+    one union-find is grown, in two passes.  The first takes h_links
     greedily; phi counts the H-links it cannot take, every H-loop among
     them.  Spanning forests form a matroid, so that is the fewest H-edges
     any spanning tree of a connected graph leaves out.  The second goes on
-    over every link in id order: its union-find already joins each
-    H-component, so it takes no H-link, and adds the non-H links that join
-    what the H-forest leaves apart.  Every H-basis joins the same vertices,
-    so the completion is the same for every basis, and a basis plus the
-    completion, sorted, is the first spanning tree holding that basis.
+    over the non-H links in id order, and adds those that join what the
+    H-forest leaves apart: the union-find already joins each H-component,
+    so no H-link could join anything more.  Every H-basis joins the same
+    vertices, so the completion is the same for every basis, and a basis
+    plus the completion, sorted, is the first spanning tree holding that
+    basis.
 
     The H-forest and the completion hold n - 1 edges exactly when the graph
     is connected; otherwise, and for a graph with no vertices, completion
@@ -209,22 +204,23 @@ def _split(g: DecompositionGraph) -> Split:
     if kept:
         return kept
     n = len(g.vertices)
-    links = _links(g)
-    h_links, rest = [], []
+    index = {vid: i for i, vid in enumerate(g.vertices)}
+    h_links, rest, rest_links = [], [], []
     plus, minus, zero = [0] * n, [0] * n, [0] * n
-    for link, e in zip(links, g.edges):
-        _, u, v = link
+    for e in g.edges:
+        u, v = index[e.src], index[e.dst]
         if is_plus_minus_h(e.matrix):
-            h_links.append(link)
+            h_links.append((e.id, u, v))
             zero[u] += 1
             zero[v] += 1
         else:
             rest.append(e)
+            rest_links.append((e.id, u, v))
             plus[u] += 1
             minus[v] += 1
     parent = list(range(n))
     phi = len(h_links) - len(_grow(parent, h_links))
-    completion = _grow(parent, links)
+    completion = _grow(parent, rest_links)
     # a spanning forest of n vertices is one tree exactly when it holds n - 1
     # edges, which no forest does on no vertices
     connected = len(h_links) - phi + len(completion) == n - 1

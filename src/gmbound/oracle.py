@@ -9,6 +9,8 @@ production shortcuts can be checked against it:
                      optimal trees, themselves re-derived by enumeration)
                      with the degree counts recomputed from the raw edge
                      list on every use;
+  replay             a report's every term recomputed at its own witness,
+                     where the brute force cannot reach;
   verify_lemma       enumerates every normalized determinant -1 matrix with
                      bounded |beta| and compares the continued fraction
                      formula with the flip-distance search.
@@ -16,11 +18,13 @@ production shortcuts can be checked against it:
 From the production code it imports only the value types (Gl2Matrix, H,
 DecompositionGraph), the budget's default and error (DEFAULT_ASSIGNMENT_CAP,
 CapExceeded), int_text for its messages, the label predicates is_normalized
-and is_plus_minus_h, and matrix_complexity, the closed form verify_lemma
-checks.  From farey it imports the flip search it checks that with
-(TAU_MINUS, TAU_PLUS, act, farey_distance, complexity_by_search).  The
-penalty function f and the search logic are written here, independently on
-purpose.
+and is_plus_minus_h, and the closed forms matrix_complexity, which
+verify_lemma checks, and cf_sum, which replay prices fibres with.  From farey
+it imports the flip search it checks matrix_complexity with (TAU_MINUS,
+TAU_PLUS, act, farey_distance, complexity_by_search).  Nothing else: not
+graph._split, spanning.optimal_trees or bounds._search, the code it checks.
+The penalty function f and the search logic are written here, independently
+on purpose.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 from .bounds import DEFAULT_ASSIGNMENT_CAP, CapExceeded
 from .farey import TAU_MINUS, TAU_PLUS, act, complexity_by_search, farey_distance
-from .gl2 import H, Gl2Matrix, int_text, is_normalized, is_plus_minus_h, matrix_complexity
+from .gl2 import H, Gl2Matrix, cf_sum, int_text, is_normalized, is_plus_minus_h, matrix_complexity
 from .graph import DecompositionGraph
 
 # the most candidate sets the spanning-tree enumeration checks
@@ -43,22 +47,29 @@ DEFAULT_TREE_CAP = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _spans(vertex_ids, edges) -> bool:
-    """Whether the edges connect all vertices (checked by plain traversal)."""
-    if not vertex_ids:
-        return False
+def _components(vertex_ids, edges) -> int:
+    """Number of connected components the edges leave (by plain traversal)."""
     neighbours = {vid: [] for vid in vertex_ids}
     for e in edges:
         neighbours[e.src].append(e.dst)
         neighbours[e.dst].append(e.src)
-    todo = [next(iter(vertex_ids))]
-    seen = set(todo)
-    while todo:
-        for nxt in neighbours[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return len(seen) == len(vertex_ids)
+    seen, count = set(), 0
+    for start in vertex_ids:
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            todo = [start]
+            while todo:
+                for nxt in neighbours[todo.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+    return count
+
+
+def _spans(vertex_ids, edges) -> bool:
+    """Whether the edges connect all vertices, of which there is at least one."""
+    return _components(vertex_ids, edges) == 1
 
 
 def _all_spanning_trees(g: DecompositionGraph) -> list[tuple]:
@@ -230,6 +241,93 @@ def bruteforce_min_f(g: DecompositionGraph, mode: str, *, assignment_cap: int = 
         tuple((e.id, v) for e, v in zip(inside, psi_vals)),
         tuple((e.id, v) for e, v in zip(outside, psip_vals)),
     )
+
+
+# ---------------------------------------------------------------------------
+# a report, replayed from its own witness
+# ---------------------------------------------------------------------------
+
+
+def replay(g: DecompositionGraph, report) -> list[str]:
+    """The disagreements between a bounds.BoundReport for g and its own
+    witness, replayed with this module's bookkeeping; [] when all agree.
+
+    The witness labels the H-edges: each once, psi and psi' each in id
+    order, psi' as many as Phi, |H| less the rank of the H-edges.  In
+    general mode the tree is a spanning tree whose H-edges are psi's; the
+    other modes report no tree and no psi', and regular mode no psi and no
+    H-edge.  Every term is then recomputed at that witness, with the
+    degrees counted from the raw edges: the vertex terms, compared as
+    (base, fibres, penalty) triples, the penalty sum, the edge, cycle and
+    Phi terms, and the total.
+
+    Nothing comes from graph._split, spanning.optimal_trees or the search.
+    An empty list shows that the total is the formula's value at the
+    reported witness.  The bound is the least such value, so the total is
+    still an upper bound; whether it is the least, replay cannot tell.
+    """
+    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
+    h_ids = [e.id for e in h_edges]
+    psi, psi_prime = report.witness_psi or (), report.witness_psi_prime or ()
+    signs, six = dict(psi), dict(psi_prime)
+    phi = len(h_edges) - len(g.vertices) + _components(g.vertices, h_edges)
+    regular = report.theorem == "regular"
+    # (what, reported, replayed)
+    rows = [
+        ("labeled H-edges", sorted([eid for eid, _ in psi + psi_prime]), h_ids),
+        ("psi order", [eid for eid, _ in psi], [eid for eid in h_ids if eid in signs]),
+        ("psi' order", [eid for eid, _ in psi_prime], [eid for eid in h_ids if eid in six]),
+        ("psi given", report.witness_psi is not None, not regular),
+        ("H-edges under regular", h_ids if regular else [], []),
+        ("phi term", report.phi_term, phi),
+        ("psi' size", len(psi_prime), phi),
+    ]
+    if report.theorem == "general":
+        inside = set(report.witness_tree or ())
+        tree = [e for e in g.edges if e.id in inside]
+        rows += [
+            ("tree ids", sorted(report.witness_tree or ()), sorted([e.id for e in tree])),
+            ("tree size", len(tree), len(g.vertices) - 1),
+            ("tree spans", True, _spans(g.vertices, tree)),
+            ("tree H-edges", [eid for eid, _ in psi], [eid for eid in h_ids if eid in inside]),
+        ]
+    else:
+        rows += [("tree", report.witness_tree, None), ("psi'", report.witness_psi_prime, None)]
+    d_plus, d_minus, d = (dict.fromkeys(g.vertices, 0) for _ in range(3))
+    for e in g.edges:
+        d[e.src] += 1
+        d[e.dst] += 1
+        if not is_plus_minus_h(e.matrix):
+            d_plus[e.src] += 1
+            d_minus[e.dst] += 1
+    edge_terms = [(e.id, matrix_complexity(e.matrix)) for e in g.edges if not is_plus_minus_h(e.matrix)]
+    cycle = 5 * (len(g.edges) - len(g.vertices) + 1)
+    rows += [("edge terms", list(report.edge_terms), edge_terms), ("cycle term", report.cycle_term, cycle)]
+    found = []
+    # a label outside the two alphabets, or a window a label leaves invalid,
+    # raises in the oracle's bookkeeping; no term is priced then
+    try:
+        signed = [e for e in h_edges if e.id in signs]
+        plus, minus = _sign_extras(signed, [signs[e.id] for e in signed])
+        for e in h_edges:
+            if e.id in six:
+                _add_six_valued(plus, minus, e, six[e.id])
+        terms = []
+        for vid, s in g.vertices.items():
+            r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
+            penalty = f(1 - r - h - d_minus[vid] - minus.get(vid, 0), h + d_plus[vid] + plus.get(vid, 0) - 1, s.b)
+            terms.append((vid, (3 * (d[vid] + r + 2 * h - 2), sum([cf_sum(p, q) - 2 for p, q in s.fibres]), penalty)))
+        window_sum = _window_penalty_sum(g, plus, minus)
+    except ValueError as exc:
+        found.append(f"labels: {exc}")
+    else:
+        rows += [
+            ("vertex terms", [(vid, (t.base, t.fibre_sum, t.penalty)) for vid, t in report.vertex_terms], terms),
+            ("min penalty", report.min_penalty, window_sum),
+            ("min penalty, vertex by vertex", report.min_penalty, sum([penalty for _, (_, _, penalty) in terms])),
+            ("total", report.total, cycle + phi + sum([v for _, v in edge_terms]) + sum([sum(t) for _, t in terms])),
+        ]
+    return found + [f"{what}: reported {got!r}, replayed {want!r}" for what, got, want in rows if got != want]
 
 
 # ---------------------------------------------------------------------------

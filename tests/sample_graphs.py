@@ -3,13 +3,13 @@ test suite.
 
 The reference helpers are plain, separate code that the tests check the
 package against: matrix products, one-edge normalization, phi of one tree,
-a report replayed from its witness, and the rewrites that change how a
-manifold is written down but not the manifold itself.
+and the rewrites that change how a manifold is written down but not the
+manifold itself.
 
-Two seeded corpora are shared, each drawn here alone: criterion4_pool(),
-the 1000 graphs of seed 20260401 behind criteria 4 and 6 and the pinned
-report bytes, and presentation_sweep(rng), the 500 large graphs that three
-test_bounds.py tests draw from a random.Random(20261018) of their own.
+Every seeded corpus that the agreement table or more than one test reads
+is named once, in CORPORA, with its seed, its size and whether the brute
+force checks it; corpus(name) draws it once per session, and
+reports(name, evaluate) bounds each of its graphs once.
 """
 
 from __future__ import annotations
@@ -18,20 +18,20 @@ import functools
 import math
 import random
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from gmbound import (
     DecompositionGraph,
     Edge,
     Gl2Matrix,
     SeifertData,
+    best_bound,
     build_graph,
     handle_count,
     is_valid,
 )
-from gmbound.bounds import BoundReport, VertexTerms
-from gmbound.gl2 import H, cf_sum, is_plus_minus_h, matrix_complexity, normalize
+from gmbound.gl2 import H, is_plus_minus_h, normalize
 from gmbound.graph import EdgeMove, _split, normalize_all
-from gmbound.oracle import _add_six_valued, _sign_extras, _spans, _window_penalty_sum, f
 from gmbound.spanning import optimal_trees
 
 # ---------------------------------------------------------------------------
@@ -99,74 +99,6 @@ def optimal_tree_ids(g: DecompositionGraph) -> tuple[tuple[str, ...], ...]:
                   for signed, _ in optimal_trees(len(g.vertices), split.h_links, split.phi)])
 
 
-def replay(g: DecompositionGraph, report: BoundReport) -> None:
-    """Check a report against its own witness, replayed with the oracle's
-    bookkeeping: degrees from the raw edges, the H-rank from a plain
-    traversal of the H-edges, nothing from graph._split or the search."""
-    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
-    h_ids = [e.id for e in h_edges]
-    psi, psi_prime = report.witness_psi or (), report.witness_psi_prime or ()
-    signs, six = dict(psi), dict(psi_prime)
-    # the labels cover exactly the H-edges, once each, in id order
-    assert sorted([eid for eid, _ in psi + psi_prime]) == h_ids
-    assert [eid for eid, _ in psi] == [eid for eid in h_ids if eid in signs]
-    assert [eid for eid, _ in psi_prime] == [eid for eid in h_ids if eid in six]
-    assert set(signs.values()) <= {"+", "-"}
-    assert set(six.values()) <= {"++", "+", "+-", "-+", "-", "--"}
-    assert (report.witness_psi is None) == (report.theorem == "regular") == (not h_edges)
-    neighbours = {vid: [] for vid in g.vertices}
-    for e in h_edges:
-        neighbours[e.src].append(e.dst)
-        neighbours[e.dst].append(e.src)
-    seen, components = set(), 0
-    for start in g.vertices:
-        if start not in seen:
-            components += 1
-            seen.add(start)
-            todo = [start]
-            while todo:
-                for nxt in neighbours[todo.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        todo.append(nxt)
-    assert report.phi_term == len(psi_prime) == len(h_edges) - (len(g.vertices) - components)
-    if report.theorem == "general":
-        inside = set(report.witness_tree)
-        tree = [e for e in g.edges if e.id in inside]
-        assert len(tree) == len(report.witness_tree) == len(g.vertices) - 1
-        assert _spans(list(g.vertices), tree)
-        assert [eid for eid in h_ids if eid in inside] == [eid for eid, _ in psi]
-        assert len([eid for eid in h_ids if eid not in inside]) == report.phi_term
-    else:
-        assert report.witness_tree is None and report.witness_psi_prime is None
-
-    plus, minus = _sign_extras([e for e in h_edges if e.id in signs], [label for _, label in psi])
-    for e in h_edges:
-        if e.id in six:
-            _add_six_valued(plus, minus, e, six[e.id])
-    # every vertex's degrees in one pass over the raw edges
-    d_plus, d_minus, d = (dict.fromkeys(g.vertices, 0) for _ in range(3))
-    for e in g.edges:
-        d[e.src] += 1
-        d[e.dst] += 1
-        if not is_plus_minus_h(e.matrix):
-            d_plus[e.src] += 1
-            d_minus[e.dst] += 1
-    vertex_terms = []
-    for vid, s in g.vertices.items():
-        r, h = len(s.fibres), 2 * s.g if s.g >= 0 else -s.g
-        penalty = f(1 - r - h - d_minus[vid] - minus.get(vid, 0), h + d_plus[vid] + plus.get(vid, 0) - 1, s.b)
-        vertex_terms.append((vid, VertexTerms(3 * (d[vid] + r + 2 * h - 2),
-                                              sum([cf_sum(p, q) - 2 for p, q in s.fibres]), penalty)))
-    assert report.vertex_terms == tuple(vertex_terms)
-    assert report.min_penalty == sum([t.penalty for _, t in vertex_terms]) == _window_penalty_sum(g, plus, minus)
-    assert report.edge_terms == tuple([(e.id, matrix_complexity(e.matrix))
-                                       for e in g.edges if not is_plus_minus_h(e.matrix)])
-    assert report.cycle_term == 5 * (len(g.edges) - len(g.vertices) + 1)
-    assert report.total == (report.cycle_term + report.phi_term + sum([v for _, v in report.edge_terms])
-                            + sum([t.total for _, t in vertex_terms]))
-
-
 # ---------------------------------------------------------------------------
 # rewrites of the presentation: same manifold, another graph
 # ---------------------------------------------------------------------------
@@ -202,6 +134,19 @@ def negate_half(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph
     """The matrices of a random half of the edges replaced by -M."""
     flipped = set(rng.sample([e.id for e in g.edges], len(g.edges) // 2))
     return build_graph(g.vertices, [replace(e, matrix=-e.matrix) if e.id in flipped else e for e in g.edges])
+
+
+def unnormalize(g: DecompositionGraph, rng: random.Random) -> DecompositionGraph:
+    """Each edge matrix M replaced by U^-h * M * U^-k, with k and h drawn
+    from [-3, 3] edge by edge, and b moved at the ends to match, so that
+    normalize_all brings g back."""
+    edges, vertices = [], dict(g.vertices)
+    for e in g.edges:
+        k, h = rng.randint(-3, 3), rng.randint(-3, 3)
+        edges.append(replace(e, matrix=compose(power_u(-h), compose(e.matrix, power_u(-k)))))
+        vertices[e.src] = replace(vertices[e.src], b=vertices[e.src].b - k)
+        vertices[e.dst] = replace(vertices[e.dst], b=vertices[e.dst].b + h)
+    return build_graph(vertices, edges)
 
 
 def mirror(g: DecompositionGraph) -> DecompositionGraph:
@@ -514,26 +459,87 @@ def random_penalized_graph(rng: random.Random, n: int, forest: int, closing: int
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def criterion4_pool() -> tuple[DecompositionGraph, ...]:
-    """The 1000 valid graphs of seed 20260401, up to 5 pieces and 7 edges,
-    drawn once per session.  A graph keeps its split once one is made, so a
-    test that counts is_plus_minus_h calls must bound fresh graphs or
-    replace() copies, not these."""
-    rng = random.Random(20260401)
-    return tuple(random_valid_graph(rng, max_vertices=5, max_edges=7, p_max=7, b_max=4, h_probability=0.4)
-                 for _ in range(1000))
+# a NamedTuple: bench/test_bench.py runs this file outside sys.modules, where a
+# dataclass cannot resolve its annotations
+class Corpus(NamedTuple):
+    """Graph i is draw(rng, i), for i below size, from one Random(seed);
+    rewrite(g, rng) draws from it the graphs, if any, that write g's
+    manifold down anew, right after g, or after the whole corpus when late.
+    oracle tells whether the agreement table runs the brute force on every
+    graph."""
+
+    seed: int
+    size: int
+    oracle: bool
+    draw: Callable[[random.Random, int], DecompositionGraph]
+    rewrite: Callable[[DecompositionGraph, random.Random], tuple[DecompositionGraph, ...]] = lambda g, rng: ()
+    late: bool = False
 
 
-def presentation_sweep(rng: random.Random) -> list[DecompositionGraph]:
-    """500 valid graphs past the oracles' reach, drawn from rng: 300
-    penalized graphs of 15 to 40 pieces, with Phi from 0 to 2 and up to 18
-    H-edges, then 50 graphs of each H-edge shape."""
-    graphs = []
-    for _ in range(300):
+def _presentation_graph(rng: random.Random, i: int) -> DecompositionGraph:
+    """300 penalized graphs of 15 to 40 pieces, with Phi from 0 to 2 and up
+    to 18 H-edges, then 50 graphs of each H-edge shape."""
+    if i < 300:
         closing = rng.randint(0, 2)
         n = rng.randint(15, 40)
-        graphs.append(random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing))
-    for shape in ("components", "star", "parallel", "loops"):
-        graphs += [random_shaped_graph(rng, shape) for _ in range(50)]
-    return graphs
+        return random_penalized_graph(rng, n, rng.randint(0, min(n - 1, 18 - 4 * closing)), closing)
+    return random_shaped_graph(rng, ("components", "star", "parallel", "loops")[(i - 300) // 50])
+
+
+# (vertices, H-forest edges, closing H-edges = Phi) of the pruning corpus: b is
+# drawn wide, so most minima are positive and the search cuts on real bounds
+# instead of stopping at a first labeling of sum 0.  128 graphs whose
+# H-edges fit in one tree, then 172 that need general mode
+_PRUNING = [(h + 1, h, 0) for h in [6] * 35 + [7] * 35 + [8] * 35 + [9] * 20 + [10, 11, 12]] + [
+    ((2, 1, 1), (2, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 3), (4, 3, 1), (4, 2, 2), (4, 3, 2))[i % 8] for i in range(172)]
+
+
+def _pruning_graph(rng: random.Random, i: int) -> DecompositionGraph:
+    g = random_penalized_graph(rng, *_PRUNING[i])
+    assert _split(g).phi == _PRUNING[i][2]
+    return g
+
+
+CORPORA = {
+    # criteria 4 and 6 and the pinned report bytes; 5 s of brute force
+    "criterion4": Corpus(20260401, 1000, False, lambda rng, i: random_valid_graph(
+        rng, max_vertices=5, max_edges=7, p_max=7, b_max=4, h_probability=0.4)),
+    # past the oracles' reach, where renaming changes the order in which the
+    # search meets the edges; each graph renamed, half its edges turned
+    # around and half negated, in that order, after the whole corpus
+    "presentation": Corpus(20261018, 500, False, _presentation_graph,
+                           lambda g, rng: (rename_ids(g, rng), reverse_half(g, rng), negate_half(g, rng)), late=True),
+    "small": Corpus(59, 1000, True, lambda rng, i: random_valid_graph(rng, max_edges=5)),
+    # the H-edge shapes that decide which optimal trees share their H-edges
+    "components": Corpus(61, 100, True, lambda rng, i: random_shaped_graph(rng, "components")),
+    "star": Corpus(62, 100, True, lambda rng, i: random_shaped_graph(rng, "star")),
+    "parallel": Corpus(63, 100, True, lambda rng, i: random_shaped_graph(rng, "parallel")),
+    "loops": Corpus(64, 100, True, lambda rng, i: random_shaped_graph(rng, "loops")),
+    "pruning": Corpus(65, len(_PRUNING), True, _pruning_graph),
+    # each graph un-normalized right after its draw
+    "normalization": Corpus(47, 30, True, lambda rng, i: random_valid_graph(rng, max_edges=5),
+                            lambda g, rng: (unnormalize(g, rng),)),
+}
+
+
+@functools.cache
+def corpus(name: str) -> tuple[tuple[DecompositionGraph, tuple[DecompositionGraph, ...]], ...]:
+    """The named corpus as (graph, rewrites) pairs, drawn once per session.
+    A graph keeps its split once one is made, so a test that counts
+    is_plus_minus_h calls must bound fresh graphs, not these."""
+    spec = CORPORA[name]
+    rng = random.Random(spec.seed)
+    graphs, rewrites = [], []
+    for i in range(spec.size):
+        graphs.append(spec.draw(rng, i))
+        if not spec.late:
+            rewrites.append(spec.rewrite(graphs[-1], rng))
+    if spec.late:
+        rewrites = [spec.rewrite(g, rng) for g in graphs]
+    return tuple(zip(graphs, rewrites))
+
+
+@functools.cache
+def reports(name: str, evaluate: Callable = best_bound) -> tuple:
+    """evaluate(g) for each graph g of the named corpus, once per session."""
+    return tuple([evaluate(g) for g, _ in corpus(name)])

@@ -24,7 +24,7 @@ from gmbound.seifert import handle_count
 from gmbound.spanning import capital_phi
 from sample_graphs import (
     compose,
-    criterion4_pool,
+    corpus,
     h_pair,
     optimal_tree_ids,
     parallel_h,
@@ -33,6 +33,7 @@ from sample_graphs import (
     random_multigraph,
     regular_pair,
     regular_pair_shifted,
+    reports,
     single_loop,
 )
 
@@ -96,8 +97,8 @@ def test_criterion_3_phi_oracle_equivalence():
 
 def test_criterion_4_theorem_specialization():
     tree_checked = regular_checked = 0
-    for g in criterion4_pool():
-        general = bound_general(g)
+    pool = corpus("criterion4")
+    for (g, _), general in zip(pool, reports("criterion4", bound_general)):
         if capital_phi(g) == 0:
             tree = bound_tree(g)
             assert general.total == tree.total
@@ -107,9 +108,9 @@ def test_criterion_4_theorem_specialization():
                 regular = bound_regular(g)
                 assert regular.total == tree.total == general.total
                 regular_checked += 1
-    assert len(criterion4_pool()) >= 1000
+    assert len(pool) >= 1000
     assert tree_checked > 0 and regular_checked > 0
-    print(f"criterion 4 PASS: {len(criterion4_pool())} valid graphs;"
+    print(f"criterion 4 PASS: {len(pool)} valid graphs;"
           f" general = tree on {tree_checked}, all three equal on {regular_checked}")
 
 
@@ -206,7 +207,7 @@ def test_criterion_6_labeling_domain_invariant():
     total_violations = 0
     total_visited = 0
     identity_checked = 0
-    for g in criterion4_pool():
+    for g, _ in corpus("criterion4"):
         violations, visited = _visit_windows(g)
         total_violations += violations
         total_visited += visited

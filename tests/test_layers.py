@@ -1,6 +1,7 @@
 """The production modules and the package root import no checking code: the
 flip search in farey and the brute-force oracles check the bound and are no
-part of it.  The CLI loads them only for its oracle commands.  No test
+part of it.  The CLI loads them only for its oracle commands, and the oracle
+imports only the production names its docstring lists.  No test
 module imports another.  Last, CI runs the suite on every supported Python,
 down to the floor in pyproject.toml."""
 
@@ -40,6 +41,19 @@ def test_production_modules_import_no_checking_code():
     found = {module: sorted(_imports(PACKAGE / f"{module}.py") & checking)
              for module in ("__init__", "gl2", "seifert", "graph", "spanning", "bounds")}
     assert found == dict.fromkeys(found, [])
+
+
+def test_the_oracle_imports_only_what_its_docstring_lists():
+    # the oracle checks graph._split, spanning.optimal_trees and
+    # bounds._search, so it must never read them
+    listed = {"gmbound.bounds": "DEFAULT_ASSIGNMENT_CAP CapExceeded",
+              "gmbound.farey": "TAU_MINUS TAU_PLUS act complexity_by_search farey_distance",
+              "gmbound.gl2": "H Gl2Matrix cf_sum int_text is_normalized is_plus_minus_h matrix_complexity",
+              "gmbound.graph": "DecompositionGraph"}
+    names = {f"{module}.{name}" for module, names in listed.items() for name in names.split()}
+    assert {name for name in _imports(PACKAGE / "oracle.py") if name.startswith("gmbound.")} == set(listed) | names
+    doc = ast.get_docstring(ast.parse((PACKAGE / "oracle.py").read_text()))
+    assert sorted(name for name in names if name.rsplit(".", 1)[1] not in doc) == []
 
 
 def test_no_test_module_imports_another():

@@ -1,36 +1,15 @@
 from __future__ import annotations
 
-import itertools
 import math
-import random
+from dataclasses import replace
 
 import pytest
 
 from gmbound.bounds import CapExceeded, bound_general, bound_tree
-from gmbound.gl2 import Gl2Matrix, is_plus_minus_h
+from gmbound.gl2 import H, Gl2Matrix
 from gmbound.graph import Edge, SeifertData, build_graph
-from gmbound.oracle import (
-    LemmaFailure,
-    LemmaReport,
-    _all_spanning_trees,
-    _sign_extras,
-    _window_penalty_sum,
-    bruteforce_min_f,
-    bruteforce_phi,
-    verify_lemma,
-)
-from gmbound.spanning import capital_phi
-from sample_graphs import (
-    h_loops,
-    h_pair,
-    optimal_tree_ids,
-    parallel_h,
-    phi,
-    random_penalized_graph,
-    random_shaped_graph,
-    random_valid_graph,
-    single_loop,
-)
+from gmbound.oracle import LemmaFailure, LemmaReport, bruteforce_min_f, bruteforce_phi, replay, verify_lemma
+from sample_graphs import h_loops, h_pair, parallel_h, single_loop
 
 
 def test_bruteforce_phi_examples():
@@ -90,70 +69,24 @@ def test_oracle_cap_messages_outgrow_no_digit_limit():
     assert str(info.value) == "subset enumeration needs a 4333-digit number > cap 1000000 candidate sets"
 
 
-def _agrees_with_the_oracle(g):
-    """The oracle's least penalty sum and first minimizer for g, in the mode
-    that Phi picks, after checking that the bound finds the same value, tree,
-    psi and psi'."""
-    bound, mode = (bound_general, "general") if capital_phi(g) else (bound_tree, "tree")
-    production, result = bound(g), bruteforce_min_f(g, mode)
-    assert result.value == production.min_penalty
-    assert result.tree == production.witness_tree
-    assert result.psi == production.witness_psi
-    assert result.psi_prime == (production.witness_psi_prime or ())
-    return result
-
-
-def test_min_f_matches_production_sweep():
-    rng = random.Random(59)
-    for _ in range(1000):
-        _agrees_with_the_oracle(random_valid_graph(rng, max_edges=5))
-
-
-@pytest.mark.parametrize("shape, seed", [("components", 61), ("star", 62), ("parallel", 63), ("loops", 64)])
-def test_min_f_matches_production_on_h_shapes(shape, seed):
-    # the H-edge shapes that decide which optimal trees share their H-edges
-    rng = random.Random(seed)
-    general = shared = 0
-    for _ in range(100):
-        g = random_shaped_graph(rng, shape)
-        _agrees_with_the_oracle(g)
-        target = capital_phi(g)
-        if target:
-            general += 1
-            optimal = sum(1 for t in _all_spanning_trees(g)
-                          if phi(g, tuple(e.id for e in t)) == target)
-            shared += optimal > len(optimal_tree_ids(g))
-    assert general >= 40 and shared >= 5
-
-
-# (vertices, H-forest edges, closing H-edges = Phi) of the general-mode draws
-_PENALIZED_GENERAL = [(2, 1, 1), (2, 1, 2), (3, 2, 1), (3, 2, 2), (3, 1, 3), (4, 3, 1), (4, 2, 2), (4, 3, 2)]
-
-
-def _sign_minimizers(g, value):
-    """Number of sign assignments on the H-edges whose penalty sum is value,
-    counted the oracle's way."""
-    h_edges = [e for e in g.edges if is_plus_minus_h(e.matrix)]
-    return sum(_window_penalty_sum(g, *_sign_extras(h_edges, signs)) == value
-               for signs in itertools.product("+-", repeat=len(h_edges)))
-
-
-def test_min_f_matches_production_where_the_search_prunes():
-    # b drawn wide, so most minima are positive and the search cuts on real
-    # bounds instead of stopping at a first labeling of sum 0
-    rng = random.Random(65)
-    sizes = [6] * 35 + [7] * 35 + [8] * 35 + [9] * 20 + [10, 11, 12]
-    cases = [(h + 1, h, 0) for h in sizes] + [_PENALIZED_GENERAL[i % 8] for i in range(172)]
-    positive = tied = 0
-    for n, forest, closing in cases:
-        g = random_penalized_graph(rng, n, forest, closing)
-        assert capital_phi(g) == closing
-        result = _agrees_with_the_oracle(g)
-        if not closing and forest == 6:
-            tied += _sign_minimizers(g, result.value) > 1
-        positive += result.value >= 2
-    assert 3 * positive >= len(cases)
-    assert tied >= 10  # the first of several minimizers is the witness
+def test_replay_flags_each_misreported_witness():
+    # a flipped sign, a dropped six-valued label, a tree that leaves one
+    # H-edge too many outside (e1 traded for the non-H edge e4) and a label
+    # of no alphabet, each made from a real report, are each caught by the
+    # first disagreement named
+    m = Gl2Matrix(1, 2, 1, 1)
+    g = build_graph(dict.fromkeys(("v1", "v2", "v3"), SeifertData(0, ((2, 1), (2, 1)), -3)),
+                    [Edge("e1", "v1", "v2", H), Edge("e2", "v1", "v2", H), Edge("e3", "v2", "v3", m),
+                     Edge("e4", "v1", "v3", m)])
+    report = bound_general(g)
+    assert report.witness_tree == ("e1", "e3") and report.witness_psi + report.witness_psi_prime == (
+        ("e1", "-"), ("e2", "-"))
+    assert replay(g, report) == []
+    for mutant, first in ((replace(report, witness_psi=(("e1", "+"),)), "vertex terms"),
+                          (replace(report, witness_psi_prime=()), "labeled H-edges"),
+                          (replace(report, witness_tree=("e3", "e4")), "tree H-edges"),
+                          (replace(report, witness_psi=(("e1", "?"),)), "labels")):
+        assert replay(g, mutant)[0].startswith(f"{first}: "), replay(g, mutant)
 
 
 def test_verify_lemma_small():
